@@ -11,6 +11,12 @@ Two interchangeable implementations of the same three primitives:
 ``_native`` (Cython) is preferred when importable; ``pure`` (int-bitset
 Python) is the fallback and the semantic reference. ``QUASIWIDE_FORCE_PURE=1``
 pins the fallback, and ``BACKEND`` names the active choice.
+
+Formula semantics are pinned outside both backends by the witness scan
+``logic._eval_reference``: ``tests/test_pure_kernels.py`` checks the pure
+type-tree round against a per-tuple insertion loop built on it, and the pure
+masks against ``graph.bfs_limited``; ``tests/test_backend_parity.py`` then
+holds the compiled twin to the pure one.
 """
 
 from __future__ import annotations

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import weakref
 
+# The extension comes first: without it the import fails here, before numpy
+# is loaded, and a pure run never pays for numpy.
+from ._native import eval_formula as _c_eval
+from ._native import nr_masks as _c_nr_masks
+from ._native import tree_round as _c_tree_round
+
 import numpy as np
 
 from ..graph import Graph, adjacency_bitsets, csr_arrays
 from . import pure
-from ._native import eval_formula as _c_eval
-from ._native import nr_masks as _c_nr_masks
-from ._native import tree_round as _c_tree_round
 
 _MAX_ARITY = 8
 

@@ -3,13 +3,25 @@
 Semantics reference for the native twin. Formula evaluation intersects
 neighbor bitsets starting from the smallest positive-literal list (an empty
 positive set degenerates to a full-universe scan, expressed here as the
-all-ones mask). The type-tree round follows the insertion scheme described in
-``quasiwide.logic``.
+all-ones mask). A formula holds when the mask that survives every literal is
+nonzero.
+
+The type-tree round follows the insertion scheme described in
+``quasiwide.logic`` but never evaluates a tuple on its own. Literals
+commute, so the masks are folded in stages: the fixed tail once per round
+into a ``base`` mask, the candidate ``z`` once per candidate, and the
+parent's label once per node. Only the remaining combination slots are
+folded per tuple, in ``itertools.combinations`` order with the prefix mask
+carried along; a prefix that is already empty accounts for all of its
+extensions at once. The edge atom reads one adjacency bit per node.
+
+``nr_masks`` grows every closed ball by one step per round, OR-ing the
+neighbors' balls of the previous round, and stops early at a fixed point.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from ..graph import Graph, adjacency_bitsets
@@ -79,37 +91,68 @@ def tree_round(
     tail = tuple(tail)
     q = arity - len(tail)
     t = q - 1
+    if t < 0:
+        if len(seq) > 1:
+            raise ValueError(f"a tail of {len(tail)} leaves no free slot at arity {arity}")
+        return list(seq)
+    bits = adjacency_bitsets(g)
+    edge = kind == EDGE
+    if not edge:
+        # positive[p]: argument position p is a positive literal
+        if kind == PHI:
+            positive = [p < i_split for p in range(arity)]
+        else:
+            positive = [p >= i_split for p in range(arity)]
+        base = (1 << g.n) - 1
+        for p, x in enumerate(tail, start=t + 1):
+            base = base & bits[x] if positive[p] else base & ~bits[x]
+        z_positive = positive[t]
+        last_positive = positive[t - 1] if t >= 1 else True
+    # slots: combination positions left per tuple once z and the parent's
+    # label are folded in; nodes shallower than chain_depth just chain
+    slots = t - 1
+    chain_depth = t if t > 0 else len(seq) + 1
+    keep_path = not edge and slots > 0
     root = _Node(-1, None, 0)
     best = root
     path: list[int] = []
     for z in seq:
+        if edge:
+            zbits = bits[z]
+            sig = (zbits >> tail[0]) & 1 if t == 0 else 0
+        else:
+            zmask = base & bits[z] if z_positive else base & ~bits[z]
+            sig = (1 if zmask else 0) if t == 0 else 0
         node = root
-        del path[:]
+        depth = 0
+        if keep_path:
+            del path[:]
         while True:
-            if node is root:
-                if t == 0:
-                    sig = 1 if eval_formula(g, kind, i_split, arity, (z, *tail)) else 0
-                else:
-                    sig = 0
-            elif t == 0 or node.depth < t:
-                sig = 0
-            else:
-                sig = 0
-                bit = 1
-                last = path[-1]
-                for combo in combinations(path[:-1], t - 1):
-                    if eval_formula(g, kind, i_split, arity, (*combo, last, z, *tail)):
-                        sig |= bit
-                    bit <<= 1
             child = node.children.get(sig)
             if child is None:
-                child = _Node(z, node, node.depth + 1)
+                child = _Node(z, node, depth + 1)
                 node.children[sig] = child
                 if child.depth > best.depth:
                     best = child
                 break
             node = child
-            path.append(node.label)
+            depth += 1
+            last = node.label
+            if keep_path:
+                path.append(last)
+            if depth < chain_depth:
+                sig = 0
+            elif edge:
+                sig = (zbits >> last) & 1
+            else:
+                lb = bits[last]
+                mask = zmask & lb if last_positive else zmask & ~lb
+                if not mask:
+                    sig = 0
+                elif slots == 0:
+                    sig = 1
+                else:
+                    sig = _combination_signature(mask, path, depth - 1, slots, positive, bits)
     branch: list[int] = []
     node = best
     while node is not root:
@@ -119,24 +162,55 @@ def tree_round(
     return branch
 
 
+def _combination_signature(
+    mask: int,
+    elems: list[int],
+    m: int,
+    slots: int,
+    positive: list[bool],
+    bits: list[int],
+) -> int:
+    """Pack, over ``combinations(elems[:m], slots)`` in order, whether
+    ``mask`` survives the literals of the chosen elements at argument
+    positions ``0..slots-1``; bit i belongs to the i-th combination.
+    """
+    sig = 0
+    index = 0
+
+    def fold(start: int, slot: int, prefix: int) -> None:
+        nonlocal sig, index
+        need = slots - slot
+        pos = positive[slot]
+        if need == 1:
+            for i in range(start, m):
+                b = bits[elems[i]]
+                if (prefix & b) if pos else (prefix & b != prefix):
+                    sig |= 1 << index
+                index += 1
+            return
+        for i in range(start, m - need + 1):
+            b = bits[elems[i]]
+            nxt = prefix & b if pos else prefix & ~b
+            if nxt:
+                fold(i + 1, slot + 1, nxt)
+            else:
+                index += comb(m - i - 1, need - 1)
+
+    fold(0, 0, mask)
+    return sig
+
+
 def nr_masks(g: Graph, r: int) -> list[int]:
     """Closed r-ball of every vertex as a bitmask (index = vertex)."""
-    from collections import deque
-
-    masks: list[int] = []
-    for v in range(g.n):
-        mask = 1 << v
-        dist = {v: 0}
-        queue: deque[int] = deque([v])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if du == r:
-                continue
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    mask |= 1 << w
-                    queue.append(w)
-        masks.append(mask)
-    return masks
+    adj = g.adj
+    balls = [1 << v for v in range(g.n)]
+    for _ in range(r):
+        grown = []
+        for v, ball in enumerate(balls):
+            for u in adj[v]:
+                ball |= balls[u]
+            grown.append(ball)
+        if grown == balls:
+            break
+        balls = grown
+    return balls

@@ -1,0 +1,140 @@
+"""The pure kernels against plain-set oracles.
+
+``pure.tree_round`` folds literal masks across the tuples of a round instead
+of evaluating each tuple on its own. ``reference_tree_round`` below is the
+per-tuple insertion loop it replaced, with the witness scan
+``logic._eval_reference`` as its evaluator, so branches are checked against
+an implementation that shares no bitset code with the backend.
+``pure.nr_masks`` is checked against ``graph.bfs_limited``.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from kernel_graphs import seeded_graphs
+from quasiwide._kernels import pure
+from quasiwide.graph import bfs_limited, build_graph
+from quasiwide.logic import EDGE_FORMULA, FormulaId, FormulaKind, _eval_reference
+
+GRAPHS = seeded_graphs()
+
+
+class _Node:
+    __slots__ = ("label", "parent", "depth", "children")
+
+    def __init__(self, label, parent, depth):
+        self.label = label
+        self.parent = parent
+        self.depth = depth
+        self.children = {}
+
+
+def reference_tree_round(g, seq, kind, i_split, arity, tail):
+    """One insertion round, evaluating every argument tuple separately."""
+    adjsets = [set(a) for a in g.adj]
+    f = EDGE_FORMULA if kind == 0 else FormulaId(FormulaKind(kind), i_split, arity)
+
+    def holds(args):
+        return _eval_reference(adjsets, g.n, f, args)
+
+    tail = tuple(tail)
+    q = arity - len(tail)
+    t = q - 1
+    root = _Node(-1, None, 0)
+    best = root
+    path = []
+    for z in seq:
+        node = root
+        del path[:]
+        while True:
+            if node is root:
+                sig = (1 if holds((z, *tail)) else 0) if t == 0 else 0
+            elif t == 0 or node.depth < t:
+                sig = 0
+            else:
+                sig = 0
+                bit = 1
+                last = path[-1]
+                for combo in combinations(path[:-1], t - 1):
+                    if holds((*combo, last, z, *tail)):
+                        sig |= bit
+                    bit <<= 1
+            child = node.children.get(sig)
+            if child is None:
+                child = _Node(z, node, node.depth + 1)
+                node.children[sig] = child
+                if child.depth > best.depth:
+                    best = child
+                break
+            node = child
+            path.append(node.label)
+    branch = []
+    node = best
+    while node is not root:
+        branch.append(node.label)
+        node = node.parent
+    branch.reverse()
+    return branch
+
+
+def formulas(max_arity):
+    """(kind, i_split, arity) for the edge atom and every phi/psi split."""
+    yield 0, 0, 2
+    for arity in range(2, max_arity + 1):
+        for kind in (1, 2):
+            for i_split in range(1, arity + 1):
+                yield kind, i_split, arity
+
+
+def seq_and_tail(g, tail_len, length, rng):
+    """A shuffled sequence with a tail of distinct vertices, as
+    ``extract_indiscernible`` passes them."""
+    verts = list(range(g.n))
+    rng.shuffle(verts)
+    return verts[tail_len : tail_len + length], tuple(verts[:tail_len])
+
+
+@pytest.mark.parametrize("kind,i_split,arity", list(formulas(5)))
+def test_tree_round_matches_reference(kind, i_split, arity):
+    # shorter sequences at high arity keep the reference's tuple count small
+    length = 24 if arity <= 3 else 12
+    rng = random.Random(1000 * kind + 10 * arity + i_split)
+    for g in GRAPHS:
+        for tail_len in range(arity):
+            if tail_len >= g.n:
+                continue
+            seq, tail = seq_and_tail(g, tail_len, length, rng)
+            want = reference_tree_round(g, seq, kind, i_split, arity, tail)
+            got = pure.tree_round(g, seq, kind, i_split, arity, tail)
+            assert got == want, (g.n, kind, i_split, arity, tail, seq)
+
+
+def test_tree_round_whole_vertex_range():
+    for g in GRAPHS:
+        seq = list(range(g.n))
+        for kind, i_split, arity in formulas(3):
+            want = reference_tree_round(g, seq, kind, i_split, arity, ())
+            got = pure.tree_round(g, seq, kind, i_split, arity, ())
+            assert got == want, (g.n, kind, i_split, arity)
+
+
+def test_tree_round_empty_sequence():
+    g = GRAPHS[4]
+    for kind, i_split, arity in formulas(4):
+        for tail_len in range(arity):
+            tail = tuple(range(tail_len))
+            assert pure.tree_round(g, [], kind, i_split, arity, tail) == []
+
+
+def _disconnected():
+    # two triangles, a path of three and an isolated vertex
+    return build_graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8)])
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_nr_masks_match_bfs(r):
+    for g in [build_graph(1, []), _disconnected(), *GRAPHS]:
+        want = [sum(1 << u for u in bfs_limited(g, [v], r)) for v in range(g.n)]
+        assert pure.nr_masks(g, r) == want, (g.n, r)
