@@ -1,6 +1,6 @@
 """Compare the compiled kernels against the pure-Python fallback.
 
-Times the three hot primitives (formula evaluation, one trie round,
+Times the three hot primitives (formula evaluation, trie rounds,
 reachability masks) on a configurable graph and prints the median of
 repeated runs plus the speedup ratio.
 
@@ -61,11 +61,17 @@ def main(argv=None) -> int:
         tuple((j * 7919 + i) % g.n for i in range(arity)) for j in range(2000)
     ]
 
+    # one free slot (t = 0): the last arity - 1 elements are fixed, as
+    # extract_indiscernible's final round of each formula fixes them
+    prefix, tail = seq[: g.n - arity + 1], seq[g.n - arity + 1 :]
+
     benches = {
         "eval_formula x2000": lambda be: [
             be.eval_formula(g, 1, 1, arity, t) for t in evals
         ],
         "tree_round": lambda be: be.tree_round(g, seq, 1, 1, arity, ()),
+        "tree_round t=0": lambda be: be.tree_round(g, prefix, 1, 1, arity, tail),
+        "tree_round edge": lambda be: be.tree_round(g, seq, 0, 0, 2, ()),
         f"nr_masks r={args.r}": lambda be: be.nr_masks(g, args.r),
     }
 

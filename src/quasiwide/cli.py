@@ -17,10 +17,10 @@ environment variable to any non-empty value for stage logs on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -33,7 +33,7 @@ from .errors import (
     KernelBuildError,
 )
 from .generators import GenSpec, generate
-from .graph import Graph, bfs_limited, distance_vector
+from .graph import Graph, bfs_limited, distance_vectors
 from .io import (
     edge_list_text,
     kernel_text,
@@ -170,16 +170,20 @@ def _load_vertex_spec(spec: str, g: Graph) -> list[int]:
 def _recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
     """Structural audit of the sieve log: every removal must cite a bucket of
     k + 2 lookalikes with identical capped distance vectors, and the final Z
-    must account for exactly the logged removals."""
+    must account for exactly the logged removals. Records of one batch share
+    their bucket, so each distinct (anchors, bucket) is checked once, with one
+    capped BFS per anchor."""
     removed = set()
+    checked = set()
     for rec in core.removal_log:
         if len(rec.bucket) < cfg.k + 2 or rec.w not in rec.bucket:
             return False
-        vectors = {
-            distance_vector(g, b, rec.anchors, 2 * cfg.r) for b in rec.bucket
-        }
-        if len(vectors) != 1:
-            return False
+        key = (rec.anchors, rec.bucket)
+        if key not in checked:
+            vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
+            if len(set(vectors.values())) != 1:
+                return False
+            checked.add(key)
         removed.add(rec.w)
     if removed & core.Z:
         return False
@@ -547,6 +551,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             # Cells are independent; rows keep sweep order no matter which
             # worker finishes first.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(run, cells))
 
@@ -588,7 +594,9 @@ def _add_uqw_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing never mutates it."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for random families")
     common.add_argument("--threads", type=int, default=1, help="bench worker count")
@@ -609,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated name=value family parameters, e.g. w=5,h=4",
     )
     p.add_argument("--out", default=None, help="edge-list path (default stdout)")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("uqw", parents=[common], help="run the wide-set splitter")
     p.add_argument("--graph", required=True)
@@ -617,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_uqw_flags(p)
-    p.set_defaults(func=cmd_uqw)
 
     p = sub.add_parser(
         "indiscernible", parents=[common], help="extract an indiscernible subsequence"
@@ -626,12 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="'all' or a file of vertex ids")
     p.add_argument("--delta", type=int, required=True, help="formula family arity")
     p.add_argument("--m", type=int, required=True, help="target length")
-    p.set_defaults(func=cmd_indiscernible)
 
     p = sub.add_parser("ladder", parents=[common], help="ladder-index diagnostic")
     p.add_argument("--graph", required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("core", parents=[common], help="compute the domination core")
     p.add_argument("--graph", required=True)
@@ -642,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--single", action="store_true", help="remove one vertex per round"
     )
     _add_uqw_flags(p)
-    p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("kernelize", parents=[common], help="build the kernel")
     p.add_argument("--graph", required=True)
@@ -656,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve both sides exactly when small enough and compare",
     )
     _add_uqw_flags(p)
-    p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("solve", parents=[common], help="run an exact solver")
     p.add_argument("--graph", required=True)
@@ -674,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="undominated-size bound that switches cds-fpt to its leaf routine",
     )
     _add_uqw_flags(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", parents=[common], help="kernel-size sweep to CSV")
     p.add_argument("--family", required=True, help="grid or random_degenerate")
@@ -687,7 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--c", type=int, default=3, help="degeneracy bound for random_degenerate"
     )
     _add_uqw_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -696,7 +696,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call, not stored in the cached parser, so a command
+        # function replaced on this module takes effect
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (InputError, ConfigError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

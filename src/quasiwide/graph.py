@@ -207,6 +207,24 @@ def distance_vector(
     return tuple(dist.get(t, INF) for t in targets)
 
 
+def distance_vectors(
+    g: Graph, vertices: Iterable[int], targets: Sequence[int], cap: int
+) -> dict[int, tuple[float, ...]]:
+    """:func:`distance_vector` of each vertex, from one capped BFS per target.
+
+    Distances are symmetric, so the BFS runs from the targets instead of
+    from every vertex; the vectors are identical to per-vertex ones.
+    """
+    if cap < 0:
+        raise InputError(f"cap must be non-negative, got {cap}")
+    maps = [distances_from(g, t, cap) for t in targets]
+    out = {}
+    for v in vertices:
+        _check_vertex(g, v)
+        out[v] = tuple(d.get(v, INF) for d in maps)
+    return out
+
+
 def is_r_independent(
     g: Graph,
     vertices: Iterable[int],

@@ -33,7 +33,7 @@ from .graph import (
     Graph,
     bfs_limited,
     build_graph,
-    distance_vector,
+    distance_vectors,
     distances_from,
 )
 from .uqw import UqwConfig, uqw_split
@@ -70,6 +70,12 @@ class CoreConfig:
             raise ConfigError(
                 f"ell must be at least k + 2 = {self.k + 2}, got {self.ell}"
             )
+        # the splitter's last round spaces survivors 2 * rounds apart
+        if self.uqw.max_rounds is not None and self.uqw.max_rounds < self.r:
+            raise ConfigError(
+                f"max_rounds must be at least r = {self.r} for the sieve's "
+                f"{2 * self.r}-independent split, got {self.uqw.max_rounds}"
+            )
 
     @property
     def effective_ell(self) -> int:
@@ -99,9 +105,11 @@ def find_irrelevant_dominatee(
     The window holds the ``ell`` smallest members of Z and doubles up to
     three times when no bucket qualifies (capped at |Z|). The splitter runs
     at radius 2r; its deletion set S anchors the distance vectors, capped at
-    2r. When |S| exceeds 4, the split is re-requested once with the target
-    size matched to |S|. Returns None when Z is already at or below ``ell``
-    or no bucket of k + 2 lookalikes shows up.
+    2r, which come from one capped BFS per anchor (none when S is empty).
+    When |S| exceeds 4, the split is re-requested once with the target size
+    matched to |S|. Returns None when Z is already at or below ``ell`` or no
+    bucket of k + 2 lookalikes shows up. A split whose spread set is not
+    2r-independent in G - S raises :class:`InternalError`.
     """
     zs = sorted(set(Z))
     for v in zs:
@@ -120,10 +128,15 @@ def find_irrelevant_dominatee(
             m1 = min((k + 2) * (2 * r + 1) ** len(res.S), len(a))
             if m1 != m0:
                 res = uqw_split(g, a, 2 * r, m1, cfg.uqw)
+        if not res.verified:
+            raise InternalError(
+                f"splitter returned a set that is not {2 * r}-independent "
+                "outside its deletion set"
+            )
         anchors = tuple(sorted(res.S))
         buckets: dict[tuple[float, ...], list[int]] = {}
-        for b in res.B:
-            buckets.setdefault(distance_vector(g, b, anchors, 2 * r), []).append(b)
+        for b, vec in distance_vectors(g, res.B, anchors, 2 * r).items():
+            buckets.setdefault(vec, []).append(b)
         qualifying = {
             vec: sorted(members)
             for vec, members in buckets.items()

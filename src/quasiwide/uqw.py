@@ -179,7 +179,6 @@ def uqw_split(
         )
     )
     _log(f"round 1: |A|={len(a_sorted)} extracted={len(extracted)} |S|={len(z)} |B|={len(b)}")
-    assert is_r_independent(g, b, 2, frozenset(z))
 
     for i in range(1, total_rounds):
         if not b:
@@ -224,7 +223,6 @@ def uqw_split(
             f"round {i + 1}: centers={len(seq)} extracted={len(extracted_h)} "
             f"|S|={len(z)} |B|={len(b)} contracted_n={con2.graph.n}"
         )
-        assert is_r_independent(g, b, 2 * (i + 1), frozenset(z))
 
     b = b[:m]
     verified = is_r_independent(g, b, r, frozenset(z)) if b else True

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON payloads, file outputs, rerun
-stability. Every invocation goes through a real subprocess so argument
-parsing, error routing, and stream separation are exercised end to end."""
+stability. Invocations go through a real subprocess so argument parsing,
+error routing, and stream separation are exercised end to end; the last
+test calls ``main`` in-process, as the benchmark and library callers do."""
 
 import json
 import subprocess
@@ -212,3 +213,23 @@ def test_deterministic_rerun_is_byte_identical(tmp_path, grid32):
     kern2 = (tmp_path / "k.txt").read_bytes()
     assert first.stdout == second.stdout
     assert kern1 == kern2
+
+
+def test_in_process_calls_share_one_parser(monkeypatch, tmp_path, capsys):
+    # In-process callers reuse the parser; each call still reaches the
+    # command function the module holds at that moment.
+    from quasiwide import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "p.el"
+    assert cli.main(["gen", "--family", "path", "--params", "n=3", "--out", str(path)]) == 0
+    assert path.read_text() == "n=3\n0 1\n1 2\n"
+    seen = []
+    monkeypatch.setattr(cli, "cmd_ladder", lambda args: seen.append(args.max_k) or 0)
+    assert cli.main(["ladder", "--graph", str(path), "--max-k", "3"]) == 0
+    assert seen == [3]
+    # a usage error on the shared parser leaves it usable
+    assert cli.main(["ladder", "--graph", str(path)]) == 1
+    assert cli.main(["ladder", "--graph", str(path), "--max-k", "2"]) == 0
+    assert seen == [3, 2]
+    capsys.readouterr()

@@ -6,13 +6,22 @@ sieve, Z-Z edges are dropped from the kernel, and the gadget contributes
 exactly one forced extra center (hence budget k + 1).
 """
 
+import dataclasses
+import importlib
 import itertools
 
 import pytest
 
-from quasiwide.errors import ConfigError
+from quasiwide.cli import _recheck_core
+from quasiwide.errors import ConfigError, InternalError
 from quasiwide.generators import GenSpec, generate
-from quasiwide.graph import build_graph, distance_vector, distances_from
+from quasiwide.graph import (
+    build_graph,
+    distance_vector,
+    distance_vectors,
+    distances_from,
+    is_r_independent,
+)
 from quasiwide.kernelize import (
     CoreConfig,
     build_kernel,
@@ -22,6 +31,7 @@ from quasiwide.kernelize import (
     reduce_dominators,
 )
 from quasiwide.solvers import exact_drds
+from quasiwide.uqw import UqwConfig
 
 
 def star(p):
@@ -59,6 +69,13 @@ def test_config_defaults_and_validation():
         CoreConfig(r=1, k=0)
     with pytest.raises(ConfigError):
         CoreConfig(r=1, k=2, ell=3)  # ell must be at least k + 2
+
+
+def test_config_rejects_too_few_splitter_rounds():
+    # two rounds space the spread set 4 apart, as r = 2 needs
+    CoreConfig(r=2, k=1, uqw=UqwConfig(max_rounds=2))
+    with pytest.raises(ConfigError):
+        CoreConfig(r=2, k=1, uqw=UqwConfig(max_rounds=1))
 
 
 def test_find_irrelevant_below_threshold_is_none():
@@ -112,6 +129,89 @@ def test_removal_log_is_auditable():
         # bucket members genuinely share their distance vector to the anchors
         vecs = {distance_vector(g, v, rec.anchors, 2 * cfg.r) for v in rec.bucket}
         assert len(vecs) == 1
+
+
+# the package re-exports the kernelize function under the submodule's name
+kernelize_module = importlib.import_module("quasiwide.kernelize")
+
+
+def _spy_splits(monkeypatch):
+    """Record every split the sieve makes, unchanged."""
+    splits = []
+    real = kernelize_module.uqw_split
+
+    def spy(g, a, r, m, cfg):
+        res = real(g, a, r, m, cfg)
+        splits.append(res)
+        return res
+
+    monkeypatch.setattr(kernelize_module, "uqw_split", spy)
+    return splits
+
+
+def test_anchor_vectors_equal_per_member_vectors(monkeypatch):
+    splits = _spy_splits(monkeypatch)
+    cfg = CoreConfig(r=1, k=2, ell=64)
+    anchored = 0
+    for seed in range(3):
+        g = generate(GenSpec("random_degenerate", {"n": 66, "c": 2, "seed": seed}))
+        del splits[:]
+        find_irrelevant_dominatee(g, range(g.n), cfg)
+        for res in splits:
+            anchors = tuple(sorted(res.S))
+            anchored += bool(anchors)
+            got = distance_vectors(g, range(g.n), anchors, 2 * cfg.r)
+            for v in range(g.n):
+                assert got[v] == distance_vector(g, v, anchors, 2 * cfg.r)
+    # the comparison means nothing with S empty, where every vector is ()
+    assert anchored >= 2
+
+
+def test_sieve_rejects_a_dependent_spread_set(monkeypatch):
+    real = kernelize_module.uqw_split
+
+    def adjacent_spread(g, a, r, m, cfg):
+        res = real(g, a, r, m, cfg)
+        b = next(
+            (v, u)
+            for v in a
+            for u in g.adj[v]
+            if v not in res.S and u not in res.S
+        )
+        return dataclasses.replace(
+            res, B=b, verified=is_r_independent(g, b, r, res.S)
+        )
+
+    monkeypatch.setattr(kernelize_module, "uqw_split", adjacent_spread)
+    g = generate(GenSpec("grid", {"w": 8, "h": 8}))
+    with pytest.raises(InternalError):
+        find_irrelevant_dominatee(g, range(g.n), CoreConfig(r=1, k=1, ell=8))
+
+
+def _star_core():
+    g = star(80)
+    cfg = CoreConfig(r=1, k=2, ell=16)
+    core = domination_core(g, cfg, batch=True)
+    # batches share one bucket, all anchored at the center
+    assert len({rec.bucket for rec in core.removal_log}) < len(core.removal_log)
+    assert {rec.anchors for rec in core.removal_log} == {(0,)}
+    return g, cfg, core
+
+
+@pytest.mark.parametrize("position", ["first", "later"])
+def test_recheck_catches_a_tampered_shared_bucket(position):
+    g, cfg, core = _star_core()
+    assert _recheck_core(g, core, cfg)
+    log = list(core.removal_log)
+    bucket = log[0].bucket
+    sharing = [i for i, rec in enumerate(log) if rec.bucket == bucket]
+    assert len(sharing) >= 2
+    i = sharing[0] if position == "first" else sharing[-1]
+    # the center is 0 from the anchor, every leaf 1
+    keep = [v for v in bucket if v != log[i].w]
+    tampered = tuple(sorted([0, log[i].w, *keep[1:]]))
+    log[i] = dataclasses.replace(log[i], bucket=tampered)
+    assert not _recheck_core(g, dataclasses.replace(core, removal_log=tuple(log)), cfg)
 
 
 def test_core_soundness_sweep():

@@ -15,6 +15,7 @@ import pytest
 
 from kernel_graphs import seeded_graphs
 from quasiwide._kernels import pure
+from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import bfs_limited, build_graph
 from quasiwide.logic import EDGE_FORMULA, FormulaId, FormulaKind, _eval_reference
 
@@ -126,6 +127,63 @@ def test_tree_round_empty_sequence():
         for tail_len in range(arity):
             tail = tuple(range(tail_len))
             assert pure.tree_round(g, [], kind, i_split, arity, tail) == []
+
+
+def _sieve_window_cases():
+    """A 40x3 grid and the sorted 120-vertex window the sieve splits, plus a
+    shuffled copy; each round's tail is the sequence's own last elements,
+    as ``extract_indiscernible`` cuts it."""
+    g = generate(GenSpec("grid", {"w": 40, "h": 3}))
+    window = list(range(g.n))
+    shuffled = window[:]
+    random.Random(7).shuffle(shuffled)
+    return g, [window, shuffled]
+
+
+@pytest.mark.parametrize("kind,i_split,arity", list(formulas(5)))
+def test_tree_round_one_free_slot_on_long_window(kind, i_split, arity):
+    # t = 0: every node below a root class chains
+    g, seqs = _sieve_window_cases()
+    for cur in seqs:
+        cut = len(cur) - (arity - 1)
+        seq, tail = cur[:cut], tuple(cur[cut:])
+        want = reference_tree_round(g, seq, kind, i_split, arity, tail)
+        assert pure.tree_round(g, seq, kind, i_split, arity, tail) == want
+
+
+def test_edge_round_empty_tail_on_long_window():
+    # t = 1: long chains of 0-children broken by adjacent labels
+    g, seqs = _sieve_window_cases()
+    for seq in seqs:
+        want = reference_tree_round(g, seq, 0, 0, 2, ())
+        assert pure.tree_round(g, seq, 0, 0, 2, ()) == want
+    assert pure.tree_round(g, [], 0, 0, 2, ()) == []
+    assert pure.tree_round(g, [], 0, 0, 2, (5,)) == []
+
+
+def test_edge_round_rejects_repeated_vertex():
+    g, _ = _sieve_window_cases()
+    with pytest.raises(ValueError):
+        pure.tree_round(g, [3, 50, 3], 0, 0, 2, ())
+
+
+@pytest.mark.parametrize(
+    "seq,want",
+    [
+        # the non-adjacent class completes first
+        ([1, 4, 2, 5, 6, 3], [4, 5, 6]),
+        # the adjacent class completes first
+        ([4, 1, 5, 2, 3, 6], [1, 2, 3]),
+    ],
+)
+def test_one_free_slot_tie_goes_to_the_class_completed_first(seq, want):
+    # tail vertex 0 is adjacent to 1, 2, 3 only: two classes of three
+    g = build_graph(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    assert pure.tree_round(g, seq, 0, 0, 2, (0,)) == want
+    assert reference_tree_round(g, seq, 0, 0, 2, (0,)) == want
+    # phi with i_split 1: some witness adjacent to z and not to 0
+    got = pure.tree_round(g, seq, 1, 1, 2, (0,))
+    assert got == reference_tree_round(g, seq, 1, 1, 2, (0,))
 
 
 def _disconnected():
