@@ -72,6 +72,9 @@ def main(argv=None) -> int:
         "tree_round": lambda be: be.tree_round(g, seq, 1, 1, arity, ()),
         "tree_round t=0": lambda be: be.tree_round(g, prefix, 1, 1, arity, tail),
         "tree_round edge": lambda be: be.tree_round(g, seq, 0, 0, 2, ()),
+        # one signature bit per node (t = 1), the sieve's arity-2 rounds
+        "tree_round phi_1^2": lambda be: be.tree_round(g, seq, 1, 1, 2, ()),
+        "tree_round psi_1^2": lambda be: be.tree_round(g, seq, 2, 1, 2, ()),
         f"nr_masks r={args.r}": lambda be: be.nr_masks(g, args.r),
     }
 

@@ -10,7 +10,11 @@ Two interchangeable implementations of the same three primitives:
 
 ``_native`` (Cython) is preferred when importable; ``pure`` (int-bitset
 Python) is the fallback and the semantic reference. ``QUASIWIDE_FORCE_PURE=1``
-pins the fallback, and ``BACKEND`` names the active choice.
+pins the fallback, and ``BACKEND`` names the active choice. Even with the
+compiled backend active, type-tree rounds with at most two free slots
+(``arity - len(tail) <= 2``) and formulas wider than its argument buffer
+run in ``pure``: there the partition and run shortcuts beat the compiled
+per-node descent.
 
 Formula semantics are pinned outside both backends by the witness scan
 ``logic._eval_reference``: ``tests/test_pure_kernels.py`` checks the pure

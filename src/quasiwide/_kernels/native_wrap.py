@@ -2,7 +2,8 @@
 
 Packs adjacency into a row-per-vertex uint64 bitset matrix once per graph
 (weakly cached) and forwards calls. Formulas wider than the compiled
-argument buffer drop back to the pure implementation.
+argument buffer, and type-tree rounds with at most two free slots, go to
+the pure implementation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def eval_formula(g: Graph, kind: int, i_split: int, arity: int, args) -> bool:
 
 
 def tree_round(g: Graph, seq, kind: int, i_split: int, arity: int, tail) -> list:
-    if arity > _MAX_ARITY or len(tail) > _MAX_ARITY - 1:
+    # at most two free slots (t <= 1): the pure partition and run rounds beat
+    # the compiled per-node descent
+    if arity - len(tail) <= 2 or arity > _MAX_ARITY:
         return pure.tree_round(g, seq, kind, i_split, arity, tail)
     return _c_tree_round(_bit_matrix(g), g.n, list(seq), kind, i_split, arity, list(tail))
 

@@ -18,11 +18,27 @@ extensions at once.
 Two round shapes skip the per-node descent. With one free slot (t = 0)
 only the root evaluates and every node below it chains, so the round
 partitions the sequence by root signature, in order, and returns the class
-that first reached the greatest length. The edge atom with an empty tail
-(t = 1) keeps its tree as runs, maximal chains of 0-children: a candidate
-leaves a run only at a node labelled by one of its neighbors, so it crosses
-each run with one lookup per neighbor instead of one step per node. Both
-give the tree, depths and tie rule of the descent they replace.
+that first reached the greatest length. With two free slots (t = 1) a node
+labelled l gives candidate z one bit, [A_l & L(z) != 0], where
+A_l = base & L0(l) does not depend on z and L is N or its complement by the
+literal's sign. Each node gets a default bit that does not depend on z
+either, and the tree is kept as runs, maximal chains of default children.
+A candidate finds from its neighborhood the nodes where its bit deviates
+from the default and jumps to the first one in each run:
+
+- edge atom: default 0; z deviates at its neighbors;
+- slot 0 positive, z negative (phi_1): default [A_l != 0]; z deviates iff
+  A_l lies inside N(z), so only labels whose lowest vertex of A_l is a
+  neighbor of z are tested;
+- slot 0 negative (psi): default 1; with R = base & N(z) for a positive z
+  and base - N(z) for a negative one, the bit is [R - N(l) != 0], so z
+  deviates iff R lies inside N(l): only neighbors of min R are tested, and
+  an empty R deviates at every node.
+
+A deviation takes the other child, which heads its own run. Rounds with
+both slots positive (phi_i, i >= 2) stay on the descent: their trees are
+shallow, and enumerating two-hop neighbors costs more than it saves. Both
+shortcuts give the tree, depths and tie rule of the descent they replace.
 
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
@@ -31,7 +47,7 @@ neighbors' balls of the previous round, and stops early at a fixed point.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..graph import Graph, adjacency_bitsets
 
@@ -111,7 +127,8 @@ def tree_round(
             raise ValueError(f"the edge atom takes 2 arguments, not {arity}")
         if t == 0:
             return _partition_round(seq, [(bits[z] >> tail[0]) & 1 for z in seq])
-        return _edge_runs_round(g, seq)
+        # default bit 0: z deviates at its neighbors
+        return _one_bit_runs_round(seq, g.adj.__getitem__)
     # positive[p]: argument position p is a positive literal
     if kind == PHI:
         positive = [p < i_split for p in range(arity)]
@@ -126,6 +143,10 @@ def tree_round(
         return _partition_round(seq, [base & ~bits[z] != 0 for z in seq])
     z_positive = positive[t]
     last_positive = positive[t - 1]
+    if t == 1 and not last_positive:
+        return _one_bit_runs_round(seq, _psi_deviants(g.adj, bits, base, z_positive))
+    if t == 1 and not z_positive:
+        return _one_bit_runs_round(seq, _phi_deviants(g.adj, bits, base))
     # slots: combination positions left per tuple once z and the parent's
     # label are folded in; nodes shallower than t just chain
     slots = t - 1
@@ -186,33 +207,42 @@ def _partition_round(seq: Sequence[int], sigs: Sequence[int]) -> list[int]:
     return best
 
 
-def _edge_runs_round(g: Graph, seq: Sequence[int]) -> list[int]:
-    """The edge atom with an empty tail: below the root's single child a
-    node's signature is whether z is adjacent to its label.
+def _one_bit_runs_round(
+    seq: Sequence[int], deviants: Callable[[int], Iterable[int] | None]
+) -> list[int]:
+    """A round with one signature bit per node (t = 1). Below the root's
+    single child each node has a default bit that does not depend on z, and
+    ``deviants(z)`` names the labels already in the tree where z's bit
+    differs from it (it may name others too; they are skipped), or is None
+    when z deviates at every node.
 
-    The tree is kept as runs, maximal chains of 0-children: ``runs[i]`` holds
-    the labels in order, ``start[i]`` the depth of its head and ``hang[i]``
-    the (run, index) node whose 1-child the head is (None under the root).
-    A candidate walks a run until the first node labelled by a neighbor, so
-    it crosses each run with the neighbor positions found once per
-    candidate instead of one step per node.
+    The tree is kept as runs, maximal chains of default children:
+    ``runs[i]`` holds the labels in order, ``start[i]`` the depth of its
+    head and ``hang[i]`` the (run, index) node whose other child the head is
+    (None under the root). A candidate walks a run until its first
+    deviation, so it crosses each run with one lookup per deviant label
+    found once per candidate instead of one step per node.
     """
     runs: list[list[int]] = []
     start: list[int] = []
     hang: list[tuple[int, int] | None] = []
     where: dict[int, tuple[int, int]] = {}  # label -> (run, index)
-    one_child: dict[int, int] = {}  # label -> run hanging off its 1-child
+    off_child: dict[int, int] = {}  # label -> run hanging off its other child
     best: tuple[int, int] | None = None
     best_depth = 0
     for z in seq:
         if z in where:
             raise ValueError(f"vertex {z} repeats in the sequence")
-        # first[run]: smallest index in that run labelled by a neighbor
-        first: dict[int, int] = {}
-        for u in g.adj[z]:
-            at = where.get(u)
-            if at is not None and at[1] < first.get(at[0], at[1] + 1):
-                first[at[0]] = at[1]
+        # first[run]: smallest index in that run where z deviates
+        devs = deviants(z)
+        if devs is None:
+            first = dict.fromkeys(range(len(runs)), 0)
+        else:
+            first = {}
+            for u in devs:
+                at = where.get(u)
+                if at is not None and at[1] < first.get(at[0], at[1] + 1):
+                    first[at[0]] = at[1]
         run: int | None = 0 if runs else None
         parent: tuple[int, int] | None = None
         while run is not None:
@@ -220,21 +250,21 @@ def _edge_runs_round(g: Graph, seq: Sequence[int]) -> list[int]:
             if j is None:
                 break
             parent = (run, j)
-            run = one_child.get(runs[run][j])
+            run = off_child.get(runs[run][j])
         if run is not None:
-            # no neighbor in this run: z extends it
+            # no deviation in this run: z extends it
             j = len(runs[run])
             runs[run].append(z)
             depth = start[run] + j
         else:
-            # a new run, under the root or as the 1-child of parent
+            # a new run, under the root or as the other child of parent
             run, j = len(runs), 0
             depth = start[parent[0]] + parent[1] + 1 if parent else 1
             runs.append([z])
             start.append(depth)
             hang.append(parent)
             if parent:
-                one_child[runs[parent[0]][parent[1]]] = run
+                off_child[runs[parent[0]][parent[1]]] = run
         where[z] = (run, j)
         if depth > best_depth:
             best, best_depth = (run, j), depth
@@ -245,6 +275,46 @@ def _edge_runs_round(g: Graph, seq: Sequence[int]) -> list[int]:
         best = hang[run]
     branch.reverse()
     return branch
+
+
+def _phi_deviants(
+    adj: Sequence[Sequence[int]], bits: list[int], base: int
+) -> Callable[[int], list[int]]:
+    """Slot 0 positive, z negative: a label l with A = base & N(l) has
+    default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
+    Labels with A non-empty are indexed by the lowest vertex of A, which is
+    a neighbor of every z that deviates there. Each call indexes z after
+    finding its deviations."""
+    by_low: dict[int, list[tuple[int, int]]] = {}
+
+    def deviants(z: int) -> list[int]:
+        zb = bits[z]
+        out = [u for y in adj[z] for u, a in by_low.get(y, ()) if a & zb == a]
+        a = base & zb
+        if a:
+            by_low.setdefault((a & -a).bit_length() - 1, []).append((z, a))
+        return out
+
+    return deviants
+
+
+def _psi_deviants(
+    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool
+) -> Callable[[int], list[int] | None]:
+    """Slot 0 negative: with R = base & N(z) for a positive z and base - N(z)
+    for a negative one, a node labelled l gives z the bit [R - N(l) != 0].
+    Every node's default bit is 1, so z deviates exactly where R lies inside
+    N(l): at neighbors of min R, or at every node when R is empty (None)."""
+
+    def deviants(z: int) -> list[int] | None:
+        zb = bits[z]
+        rest = base & zb if z_positive else base & ~zb
+        if not rest:
+            return None
+        low = (rest & -rest).bit_length() - 1
+        return [u for u in adj[low] if rest & bits[u] == rest]
+
+    return deviants
 
 
 def _combination_signature(

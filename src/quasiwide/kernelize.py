@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -96,6 +97,11 @@ class Removal:
     vector: tuple[float, ...]
 
 
+class _SortedZ(list):
+    """Z as :func:`domination_core` keeps it: the distinct vertices of its
+    graph in increasing order, which the sieve takes as they are."""
+
+
 def find_irrelevant_dominatee(
     g: Graph, Z: Iterable[int], cfg: CoreConfig
 ) -> Removal | None:
@@ -111,10 +117,13 @@ def find_irrelevant_dominatee(
     bucket of k + 2 lookalikes shows up. A split whose spread set is not
     2r-independent in G - S raises :class:`InternalError`.
     """
-    zs = sorted(set(Z))
-    for v in zs:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    if isinstance(Z, _SortedZ):
+        zs: list[int] = Z
+    else:
+        zs = sorted(set(Z))
+        for v in zs:
+            if not (0 <= v < g.n):
+                raise InputError(f"vertex {v} outside 0..{g.n - 1}")
     ell = cfg.effective_ell
     if len(zs) <= ell:
         return None
@@ -184,7 +193,7 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
     bucket is big enough. Single mode deletes only the smallest bucket
     member per round. Every deletion is logged with its justification.
     """
-    z = set(range(g.n))
+    z = _SortedZ(range(g.n))
     log: list[RemovalRecord] = []
     ell = cfg.effective_ell
     while True:
@@ -199,7 +208,7 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
             removed = (rem.w,)
         for w in removed:
             log.append(RemovalRecord(w=w, anchors=rem.anchors, bucket=rem.bucket))
-            z.discard(w)
+            del z[bisect_left(z, w)]
         _log(f"removed {len(removed)} dominatee(s), |Z|={len(z)}")
     return DominationCore(Z=frozenset(z), removal_log=tuple(log))
 

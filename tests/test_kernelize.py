@@ -9,11 +9,12 @@ exactly one forced extra center (hence budget k + 1).
 import dataclasses
 import importlib
 import itertools
+import random
 
 import pytest
 
 from quasiwide.cli import _recheck_core
-from quasiwide.errors import ConfigError, InternalError
+from quasiwide.errors import ConfigError, InputError, InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import (
     build_graph,
@@ -94,6 +95,26 @@ def test_find_irrelevant_on_star():
     assert rem.vector == (1,)
     assert rem.w in rem.bucket
     assert len(rem.bucket) >= cfg.k + 2
+
+
+@pytest.mark.parametrize(
+    "g,cfg",
+    [
+        (star(10), CoreConfig(r=1, k=1, ell=4)),
+        (generate(GenSpec("grid", {"w": 12, "h": 6})), CoreConfig(r=1, k=2, ell=24)),
+    ],
+)
+def test_find_irrelevant_takes_any_iterable_of_z(g, cfg):
+    want = find_irrelevant_dominatee(g, range(g.n), cfg)
+    assert want is not None
+    shuffled = list(range(g.n))
+    random.Random(3).shuffle(shuffled)
+    assert find_irrelevant_dominatee(g, shuffled + shuffled[::2], cfg) == want
+    assert find_irrelevant_dominatee(g, iter(reversed(range(g.n))), cfg) == want
+    with pytest.raises(InputError):
+        find_irrelevant_dominatee(g, [*range(g.n), g.n], cfg)
+    with pytest.raises(InputError):
+        find_irrelevant_dominatee(g, [-1, *range(g.n)], cfg)
 
 
 def test_core_on_star_lands_on_threshold():

@@ -167,6 +167,64 @@ def test_edge_round_rejects_repeated_vertex():
         pure.tree_round(g, [3, 50, 3], 0, 0, 2, ())
 
 
+def phi_psi(max_arity):
+    """(kind, i_split, arity) for every phi/psi split."""
+    return [f for f in formulas(max_arity) if f[0]]
+
+
+@pytest.mark.parametrize("kind,i_split,arity", phi_psi(5))
+def test_one_bit_round_on_long_window(kind, i_split, arity):
+    # t = 1: the tail fixes all but two slots, one signature bit per node
+    g, seqs = _sieve_window_cases()
+    for cur in seqs:
+        cut = len(cur) - (arity - 2)
+        seq, tail = cur[:cut], tuple(cur[cut:])
+        want = reference_tree_round(g, seq, kind, i_split, arity, tail)
+        assert pure.tree_round(g, seq, kind, i_split, arity, tail) == want
+
+
+def _star_path_isolated():
+    """A star on 0 with leaves 1..6, a path 6-7-8-9, an edge 10-11, and
+    isolated 12 and 13. In phi_1 rounds an isolated label l has
+    A = base & N(l) empty, so its bit is 0 for every candidate. In psi_1
+    rounds an isolated candidate has R = N(z) empty and deviates at every
+    node; with a leaf x in the tail of psi_2^3 every other leaf z has
+    R = N(x) - N(z) empty, and the leaves give every candidate bit 0."""
+    edges = [(0, leaf) for leaf in range(1, 7)]
+    edges += [(6, 7), (7, 8), (8, 9), (10, 11)]
+    return build_graph(14, edges)
+
+
+@pytest.mark.parametrize("kind,i_split,arity", phi_psi(4))
+def test_one_bit_round_dead_labels_and_empty_rest(kind, i_split, arity):
+    g = _star_path_isolated()
+    rng = random.Random(100 * kind + 10 * arity + i_split)
+    if arity == 2:
+        tails = [()]
+    elif arity == 3:
+        tails = [(x,) for x in range(g.n)]
+    else:
+        tails = [(1, 2), (2, 0), (12, 3), (7, 13), (9, 10)]
+    for tail in tails:
+        rest = [v for v in range(g.n) if v not in tail]
+        for attempt in range(4):
+            seq = rest[:]
+            if attempt:
+                rng.shuffle(seq)
+            want = reference_tree_round(g, seq, kind, i_split, arity, tail)
+            got = pure.tree_round(g, seq, kind, i_split, arity, tail)
+            assert got == want, (kind, i_split, arity, tail, seq)
+
+
+@pytest.mark.parametrize("kind,i_split", [(1, 1), (2, 1), (2, 2)])
+def test_one_bit_round_rejects_repeated_vertex(kind, i_split):
+    g, _ = _sieve_window_cases()
+    with pytest.raises(ValueError):
+        pure.tree_round(g, [3, 50, 7, 3], kind, i_split, 2, ())
+    with pytest.raises(ValueError):
+        pure.tree_round(g, [3, 50, 3], kind, i_split, 3, (9,))
+
+
 @pytest.mark.parametrize(
     "seq,want",
     [
