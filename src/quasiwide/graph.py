@@ -2,9 +2,8 @@
 
 Every structure in this package sits on top of this module: an immutable
 undirected graph with sorted adjacency lists, a degeneracy ordering computed
-once at build time, and the handful of primitives the algorithms need
-(bounded BFS, capped distance vectors, independence checks, ball
-contraction).
+on first read, and the handful of primitives the algorithms need (bounded
+BFS, capped distance vectors, independence checks, ball contraction).
 
 Conventions:
 - Vertices are the integers ``0..n-1``; edges are unordered pairs of distinct
@@ -12,17 +11,20 @@ Conventions:
 - ``order`` lists the densest part of the graph first (reverse peeling
   order), so every vertex has at most ``c`` neighbors earlier in the order;
   those are its ``smaller_neighbors`` and make adjacency tests O(c).
+  Kernels, contractions and solver gadgets never read them, so the peel
+  runs only for graphs that do.
 - Distances count edges. Values beyond a cap are reported as ``INF``
   (``math.inf``), which keeps capped distance vectors hashable.
 - Deleted-set arguments (``forbidden``, ``avoid``) emulate the subgraph
   ``G - S`` without copying the graph.
+- Every traversal walks layer by layer: one set of reached vertices and a
+  list per layer, in the order a FIFO queue would visit them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -33,19 +35,20 @@ INF = math.inf
 
 @dataclass(eq=False)
 class Graph:
-    """Immutable undirected graph with a precomputed degeneracy ordering.
+    """Immutable undirected graph whose degeneracy ordering is computed on
+    first read.
 
     ``adj[v]`` is the sorted tuple of neighbors of ``v``. ``order`` is the
-    reverse peeling order and ``smaller_neighbors[v]`` holds the neighbors of
-    ``v`` that appear before it there (at most ``c`` of them). Treat
-    instances as frozen; the private fields only cache derived arrays.
+    reverse peeling order, ``smaller_neighbors[v]`` holds the neighbors of
+    ``v`` that appear before it there (at most ``c`` of them) and ``c`` is
+    the degeneracy; one peel computes all three the first time any of them
+    is read. Treat instances as frozen; the private fields only cache
+    derived arrays.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
-    smaller_neighbors: tuple[tuple[int, ...], ...]
-    c: int
+    _peel: tuple | None = field(default=None, repr=False, compare=False)
     _bits: list[int] | None = field(default=None, repr=False, compare=False)
     _csr: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -53,6 +56,27 @@ class Graph:
     def m(self) -> int:
         """Number of edges."""
         return sum(len(a) for a in self.adj) // 2
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """Reverse peeling order: every vertex has at most ``c`` neighbors
+        before it."""
+        return self._degeneracy()[0]
+
+    @property
+    def smaller_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the sorted neighbors that come before it in ``order``."""
+        return self._degeneracy()[1]
+
+    @property
+    def c(self) -> int:
+        """Degeneracy: the largest degree a vertex has when it is peeled."""
+        return self._degeneracy()[2]
+
+    def _degeneracy(self) -> tuple:
+        if self._peel is None:
+            self._peel = _peel(self.n, self.adj)
+        return self._peel
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -69,10 +93,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Construct a :class:`Graph` from an edge list.
 
     Duplicate edges and self-loops are dropped without complaint; an endpoint
-    outside ``0..n-1`` raises :class:`InputError`. The degeneracy ordering is
-    computed by repeatedly peeling a minimum-degree vertex (smallest id on
-    ties), which also yields the degeneracy ``c`` as the largest degree seen
-    at peel time.
+    outside ``0..n-1`` raises :class:`InputError`. Only the adjacency is
+    built here; the degeneracy ordering waits for its first read.
     """
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
@@ -87,10 +109,16 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for u, v in seen:
         neighbor_sets[u].append(v)
         neighbor_sets[v].append(u)
-    adj = tuple(tuple(sorted(a)) for a in neighbor_sets)
+    return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in neighbor_sets))
 
-    # Min-degree peeling with a lazy heap keyed by (degree, id): deterministic
-    # and O(m log n).
+
+def _peel(
+    n: int, adj: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """``(order, smaller_neighbors, c)`` by repeatedly peeling a
+    minimum-degree vertex (smallest id on ties); ``c`` is the largest degree
+    seen at peel time."""
+    # Lazy heap keyed by (degree, id): deterministic and O(m log n).
     degree = [len(a) for a in adj]
     heap: list[tuple[int, int]] = [(degree[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -115,7 +143,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     smaller = tuple(
         tuple(sorted(u for u in adj[v] if pos[u] < pos[v])) for v in range(n)
     )
-    return Graph(n=n, adj=adj, order=order, smaller_neighbors=smaller, c=c)
+    return order, smaller, c
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -129,6 +157,68 @@ def adjacent(g: Graph, u: int, v: int) -> bool:
     _check_vertex(g, u)
     _check_vertex(g, v)
     return v in g.smaller_neighbors[u] or u in g.smaller_neighbors[v]
+
+
+def _layers(
+    adj: tuple[tuple[int, ...], ...],
+    sources: list[int],
+    depth: int,
+    forbidden: frozenset[int] | set[int],
+) -> tuple[set[int], list[list[int]]]:
+    """Walk ``G - forbidden`` from the distinct, unforbidden ``sources`` out
+    to ``depth``: the set of vertices reached and the list of layers, layer
+    d holding the vertices at distance d in the order a FIFO queue visits
+    them."""
+    seen = set(sources)
+    layer = sources
+    layers = [layer]
+    for _ in range(depth):
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in seen and w not in forbidden:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        layers.append(nxt)
+        layer = nxt
+    return seen, layers
+
+
+def _claim_balls(
+    adj: tuple[tuple[int, ...], ...],
+    centers: list[int],
+    depth: int,
+    forbidden: frozenset[int] | set[int],
+) -> tuple[dict[int, int], tuple[int, int, int] | None]:
+    """Grow the radius-``depth`` balls of the sorted, distinct, unforbidden
+    ``centers`` together in ``G - forbidden``; each vertex is owned by the
+    first center whose walk reaches it.
+
+    Returns ``(owner, None)`` when the balls are pairwise disjoint. The walk
+    stops at the first vertex claimed by a second center and returns
+    ``(owner, (a, b, w))`` with centers ``a < b`` and that vertex ``w``.
+    """
+    owner = {v: v for v in centers}
+    layer = centers
+    for _ in range(depth):
+        nxt = []
+        for u in layer:
+            ou = owner[u]
+            for w in adj[u]:
+                if w in forbidden:
+                    continue
+                ow = owner.get(w)
+                if ow is None:
+                    owner[w] = ou
+                    nxt.append(w)
+                elif ow != ou:
+                    return owner, (min(ou, ow), max(ou, ow), w)
+        if not nxt:
+            break
+        layer = nxt
+    return owner, None
 
 
 def bfs_limited(
@@ -153,18 +243,7 @@ def bfs_limited(
         _check_vertex(g, s)
         if s in forbidden:
             raise InputError(f"source {s} is in the forbidden set")
-    dist: dict[int, int] = {s: 0 for s in src}
-    queue: deque[int] = deque(src)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == depth:
-            continue
-        for w in g.adj[u]:
-            if w not in dist and w not in forbidden:
-                dist[w] = du + 1
-                queue.append(w)
-    return set(dist)
+    return _layers(g.adj, src, depth, forbidden)[0]
 
 
 def distances_from(
@@ -174,22 +253,15 @@ def distances_from(
     *,
     forbidden: frozenset[int] | set[int] = frozenset(),
 ) -> dict[int, int]:
-    """BFS distance map from ``source``, cut off beyond ``cap``."""
+    """BFS distance map from ``source``, cut off beyond ``cap``.
+
+    The map lists vertices in BFS order. A negative ``cap`` cuts nothing off.
+    """
     _check_vertex(g, source)
     if source in forbidden:
         raise InputError(f"source {source} is in the forbidden set")
-    dist = {source: 0}
-    queue: deque[int] = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == cap:
-            continue
-        for w in g.adj[u]:
-            if w not in dist and w not in forbidden:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+    _, layers = _layers(g.adj, [source], cap if cap >= 0 else g.n, forbidden)
+    return {v: d for d, layer in enumerate(layers) for v in layer}
 
 
 def distance_vector(
@@ -236,6 +308,12 @@ def is_r_independent(
 
     The set must be disjoint from ``forbidden`` (:class:`InputError`
     otherwise). Singletons and the empty set are trivially independent.
+
+    For even ``r = 2h`` one walk grows all radius-h balls together and fails
+    at the first vertex two of them claim. That is exact: a path of length
+    at most 2h in ``G - forbidden`` has a midpoint within h of both ends,
+    and two balls that meet give such a path. Odd ``r`` walks the full
+    radius from each vertex.
     """
     vs = sorted(set(vertices))
     overlap = [v for v in vs if v in forbidden]
@@ -243,6 +321,10 @@ def is_r_independent(
         raise InputError(f"vertices {overlap} are in the forbidden set")
     if r < 0:
         raise InputError(f"radius must be non-negative, got {r}")
+    for v in vs:
+        _check_vertex(g, v)
+    if r % 2 == 0:
+        return _claim_balls(g.adj, vs, r // 2, forbidden)[1] is None
     member = set(vs)
     for v in vs:
         reached = bfs_limited(g, [v], r, forbidden=forbidden)
@@ -308,30 +390,10 @@ def contract_balls(
     for v in cs:
         _check_vertex(g, v)
 
-    owner: dict[int, int] = {}
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for v in cs:
-        owner[v] = v
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == depth:
-            continue
-        for w in g.adj[u]:
-            if w in avoid:
-                continue
-            if w not in owner:
-                owner[w] = owner[u]
-                dist[w] = du + 1
-                queue.append(w)
-            elif owner[w] != owner[u] and du + 1 <= depth:
-                pair = tuple(sorted((owner[w], owner[u])))
-                raise InputError(
-                    f"balls of centers {pair[0]} and {pair[1]} overlap at vertex {w}"
-                )
+    owner, clash = _claim_balls(g.adj, cs, depth, avoid)
+    if clash is not None:
+        a, b, w = clash
+        raise InputError(f"balls of centers {a} and {b} overlap at vertex {w}")
 
     singles = tuple(
         v

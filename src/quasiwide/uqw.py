@@ -102,14 +102,25 @@ def _high_adjacency(g: Graph, targets: Sequence[int], theta: float) -> set[int]:
 
 def _prune_spread(g: Graph, seq: Iterable[int], dist: int, forbidden: frozenset[int]) -> list[int]:
     """Greedy thinning in sequence order: keep an element iff every earlier
-    kept element is more than ``dist`` away in G - forbidden."""
+    kept element is more than ``dist`` away in G - forbidden.
+
+    Half-radius rule: with ``near = dist // 2`` and ``far = dist - near``,
+    an element is kept iff its far-ball misses the union of the kept
+    elements' near-balls, all in G - forbidden. That is exact: a path of
+    length at most ``dist`` has a vertex within ``near`` of one end and
+    ``far`` of the other (its midpoint when ``dist`` is even), and a vertex
+    in both balls gives such a path. The splitter only passes even ``dist``,
+    so one ball per element serves both roles.
+    """
+    near = dist // 2
+    far = dist - near
     kept: list[int] = []
-    kept_set: set[int] = set()
+    covered: set[int] = set()
     for v in seq:
-        reach = bfs_limited(g, [v], dist, forbidden=forbidden)
-        if reach.isdisjoint(kept_set):
+        ball = bfs_limited(g, [v], far, forbidden=forbidden)
+        if ball.isdisjoint(covered):
             kept.append(v)
-            kept_set.add(v)
+            covered |= ball if far == near else bfs_limited(g, [v], near, forbidden=forbidden)
     return kept
 
 
