@@ -1,0 +1,126 @@
+"""Digest of the CLI's outputs, to check that a change keeps them byte-identical.
+
+    python3 benchmarks/outputs_digest.py [--root CHECKOUT] [--seed 1] > digest.txt
+
+Runs, with ``--deterministic`` added to every command:
+
+- the CLI invocations of acceptance criterion 9 (``tests/test_acceptance.py``);
+- four refusal repros: the sieve refusing a dense split under ``core`` and
+  under ``kernelize``, and ``cds-fpt`` and ``uqw`` refusing a clique;
+- every command of each ``perfbench`` workload at ``--seed``, from the
+  manifest that ``perfbench/workloads.py`` writes when run as a script.
+
+Commands run in-process through ``quasiwide.cli.main`` of the checkout's
+``src``, in a fresh temporary directory and with relative paths, so no line
+depends on where that directory is. Each command prints one line: its exit
+code, the sha256 of its stdout and stderr and of every file it writes
+(``--out``), then the command itself. Run the script once per checkout (the
+same copy of it, pointed at each with ``--root``) and diff the outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("grid-r1", "degenerate-r1", "solver-mix")
+
+CRITERION_9 = [
+    ["gen", "--family", "random_degenerate", "--params", "n=30,c=2,seed=9"],
+    ["uqw", "--graph", "g.el", "--A", "all", "--r", "2", "--m", "4"],
+    ["uqw", "--graph", "g.el", "--A", "ids.txt", "--r", "1", "--m", "2"],
+    ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "2", "--m", "5"],
+    ["ladder", "--graph", "g.el", "--max-k", "4"],
+    ["core", "--graph", "g.el", "--r", "1", "--k", "2", "--ell", "6"],
+    ["kernelize", "--graph", "g.el", "--r", "1", "--k", "2", "--ell", "6",
+     "--out", "kern.txt", "--verify"],
+    ["solve", "--graph", "g.el", "--problem", "drds", "--r", "2", "--k", "2"],
+    ["solve", "--graph", "g.el", "--problem", "cds-fpt", "--k", "4"],
+    ["solve", "--graph", "g.el", "--problem", "steiner", "--terminals", "0,29"],
+    ["bench", "--family", "grid", "--sizes", "4,6", "--r", "1", "--ks", "2,3",
+     "--ell", "8", "--out", "bench.csv"],
+]
+
+REFUSALS = [
+    ["core", "--graph", "dense.el", "--r", "2", "--k", "5", "--ell", "16"],
+    ["kernelize", "--graph", "dense.el", "--r", "2", "--k", "5", "--ell", "16",
+     "--out", "dense.kern"],
+    ["solve", "--graph", "k16.el", "--problem", "cds-fpt", "--k", "3",
+     "--s-max", "2", "--K-threshold", "5"],
+    ["uqw", "--graph", "k16.el", "--A", "all", "--r", "2", "--m", "8", "--s-max", "4"],
+]
+
+# The inputs of both lists above, generated first.
+INPUTS = [
+    ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
+    ["gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
+     "--out", "dense.el"],
+    ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_line(main, group: str, argv: list[str]) -> str:
+    """Run one command; return its digest line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = str(main(argv))
+        except Exception as exc:  # recorded, so a crash shows up in the diff
+            rc = f"raised-{type(exc).__name__}"
+    fields = [group, rc, f"stdout={_sha(out.getvalue().encode())}",
+              f"stderr={_sha(err.getvalue().encode())}"]
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        fields.append(f"{path.name}={_sha(path.read_bytes()) if path.exists() else '-'}")
+    return " ".join(fields) + " :: " + " ".join(argv)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="source checkout to run (default: this one)")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
+    args = parser.parse_args()
+    root = args.root.resolve()
+    src = root / "src"
+    sys.path.insert(0, str(src))
+    import quasiwide
+    from quasiwide.cli import main as cli_main
+
+    if Path(quasiwide.__file__).resolve().parent != src / "quasiwide":
+        sys.exit(f"error: imported quasiwide from {quasiwide.__file__}, not {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path("ids.txt").write_text("0\n1\n2\n7\n")
+        for group, commands in (
+            ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS)
+        ):
+            for argv in commands:
+                print(digest_line(cli_main, group, argv + ["--deterministic"]))
+        for workload in WORKLOADS:
+            subprocess.run(
+                [sys.executable, str(root / "perfbench" / "workloads.py"),
+                 "--workload", workload, "--seed", str(args.seed), "--out", workload],
+                env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+            )
+            ops = json.loads(Path(workload, "manifest.json").read_text())
+            for op in ops:
+                print(digest_line(cli_main, workload, op["argv"] + ["--deterministic"]))
+        os.chdir(root)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,8 @@ Four layers, from primitive to composite:
 - ``kernelize`` / ``solvers``: the distance-r dominating set kernelization
   pipeline and the exact/FPT domination and Steiner solvers.
 
+``check`` holds the independent re-verification of every result.
+
 The compute-heavy inner loops have a compiled twin in
 ``quasiwide._kernels``; set ``QUASIWIDE_FORCE_PURE=1`` to insist on the
 pure-Python fallback.
@@ -45,7 +47,7 @@ from .kernelize import (
     build_kernel,
     domination_core,
     find_irrelevant_dominatee,
-    kernelize,
+    kernel_pipeline,
     reduce_dominators,
 )
 from .logic import (
@@ -104,7 +106,7 @@ __all__ = [
     "generate",
     "is_indiscernible",
     "is_r_independent",
-    "kernelize",
+    "kernel_pipeline",
     "ladder_index",
     "uqw_split",
     "uqw_verify",

@@ -8,10 +8,10 @@ milliseconds, result payload, and verification flags. Commands that produce
 a mathematical object re-verify it before exiting 0.
 
 Exit codes: 0 success, 1 input error, 2 algorithmic failure with a
-certificate (density refusals, failed verification), 3 decision-problem
-"no". Passing ``--deterministic`` zeroes every timing field and forces a
-single worker so reruns are byte-identical; set the ``QUASIWIDE_LOG``
-environment variable to any non-empty value for stage logs on stderr.
+certificate (refusals of dense inputs, failed verification), 3
+decision-problem "no". Passing ``--deterministic`` zeroes every timing field
+so reruns are byte-identical; set the ``QUASIWIDE_LOG`` environment variable
+to any non-empty value for stage logs on stderr.
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
+import os
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
+from .check import recheck_core, uqw_verify, verify_cds, verify_drds
 from .errors import (
     ConfigError,
     DensityError,
@@ -33,23 +36,17 @@ from .errors import (
     KernelBuildError,
 )
 from .generators import GenSpec, generate
-from .graph import Graph, bfs_limited, distance_vectors
+from .graph import Graph
 from .io import (
     edge_list_text,
     kernel_text,
     load_graph,
     load_id_list,
 )
-from .kernelize import (
-    CoreConfig,
-    DominationCore,
-    build_kernel,
-    domination_core,
-    reduce_dominators,
-)
+from .kernelize import CoreConfig, domination_core, kernel_pipeline
 from .logic import delta_k, extract_indiscernible, is_indiscernible, ladder_index
 from .solvers import SteinerInstance, brute_cds, cds_fpt, dreyfus_wagner, exact_drds
-from .uqw import UqwConfig, uqw_split, uqw_verify
+from .uqw import UqwConfig, uqw_split
 
 _VERIFY_INPUT_BOUND = 64
 _VERIFY_KERNEL_BOUND = 512
@@ -105,6 +102,28 @@ def _report(
     if verified is not None:
         report["verified"] = verified
     return report
+
+
+def _refusal(
+    command: str,
+    options: dict[str, Any],
+    g: Graph,
+    stages: _Stages,
+    exc: DensityError | KernelBuildError,
+    **extra: Any,
+) -> int:
+    """Report a refusal with its certificate; the exit code is 2."""
+    if isinstance(exc, KernelBuildError):
+        result = {"failure": "kernel-build", "offending": [list(p) for p in exc.offending]}
+    else:
+        result = {
+            "failure": "density",
+            "certificate": list(exc.certificate),
+            "candidates": list(exc.candidates),
+        }
+    result.update(message=str(exc), **extra)
+    _emit(_report(command, options, g, stages, result, None))
+    return 2
 
 
 def _parse_params(text: str) -> dict[str, int]:
@@ -167,55 +186,6 @@ def _load_vertex_spec(spec: str, g: Graph) -> list[int]:
     return load_id_list(spec)
 
 
-def _recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
-    """Structural audit of the sieve log: every removal must cite a bucket of
-    k + 2 lookalikes with identical capped distance vectors, and the final Z
-    must account for exactly the logged removals. Records of one batch share
-    their bucket, so each distinct (anchors, bucket) is checked once, with one
-    capped BFS per anchor."""
-    removed = set()
-    checked = set()
-    for rec in core.removal_log:
-        if len(rec.bucket) < cfg.k + 2 or rec.w not in rec.bucket:
-            return False
-        key = (rec.anchors, rec.bucket)
-        if key not in checked:
-            vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
-            if len(set(vectors.values())) != 1:
-                return False
-            checked.add(key)
-        removed.add(rec.w)
-    if removed & core.Z:
-        return False
-    return len(core.Z) + len(removed) == g.n
-
-
-def _verify_drds(g: Graph, solution: set[int], r: int) -> bool:
-    if g.n == 0:
-        return not solution
-    if not solution:
-        return False
-    return len(bfs_limited(g, sorted(solution), r)) == g.n
-
-
-def _verify_cds(g: Graph, solution: set[int]) -> bool:
-    if g.n == 0:
-        return not solution
-    if not _verify_drds(g, solution, 1):
-        return False
-    sol = set(solution)
-    start = min(sol)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w in sol and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == sol
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     if args.family in ("random_bounded_degree", "random_degenerate"):
@@ -239,15 +209,7 @@ def cmd_uqw(args: argparse.Namespace) -> int:
         with stages("uqw"):
             res = uqw_split(g, a, args.r, args.m, cfg)
     except DensityError as exc:
-        result = {
-            "failure": "density",
-            "message": str(exc),
-            "certificate": list(exc.certificate),
-            "candidates": list(exc.candidates),
-            "rounds_completed": len(exc.rounds),
-        }
-        _emit(_report("uqw", options, g, stages, result, None))
-        return 2
+        return _refusal("uqw", options, g, stages, exc, rounds_completed=len(exc.rounds))
     ok = res.verified and uqw_verify(g, res, a, args.r)
     result = {
         "S": sorted(res.S),
@@ -309,15 +271,8 @@ def cmd_core(args: argparse.Namespace) -> int:
         with stages("core"):
             core = domination_core(g, cfg, batch=not args.single)
     except DensityError as exc:
-        result = {
-            "failure": "density",
-            "message": str(exc),
-            "certificate": list(exc.certificate),
-            "candidates": list(exc.candidates),
-        }
-        _emit(_report("core", options, g, stages, result, None))
-        return 2
-    ok = _recheck_core(g, core, cfg)
+        return _refusal("core", options, g, stages, exc)
+    ok = recheck_core(g, core, cfg)
     result = {
         "Z": sorted(core.Z),
         "z_size": len(core.Z),
@@ -342,29 +297,9 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
         "verify": args.verify,
     }
     try:
-        with stages("core"):
-            core = domination_core(g, cfg, batch=True)
-        with stages("reduce"):
-            reps = reduce_dominators(g, core.Z, args.r)
-        with stages("build"):
-            ker = build_kernel(g, core.Z, reps, args.r, args.k)
-    except DensityError as exc:
-        result = {
-            "failure": "density",
-            "message": str(exc),
-            "certificate": list(exc.certificate),
-            "candidates": list(exc.candidates),
-        }
-        _emit(_report("kernelize", options, g, stages, result, None))
-        return 2
-    except KernelBuildError as exc:
-        result = {
-            "failure": "kernel-build",
-            "message": str(exc),
-            "offending": [list(p) for p in exc.offending],
-        }
-        _emit(_report("kernelize", options, g, stages, result, None))
-        return 2
+        core, reps, ker = kernel_pipeline(g, cfg, stages)
+    except (DensityError, KernelBuildError) as exc:
+        return _refusal("kernelize", options, g, stages, exc)
 
     Path(args.out).write_text(
         kernel_text(
@@ -377,7 +312,7 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
     )
     verified = {
         "projection": ker.projection_ok,
-        "removals_justified": _recheck_core(g, core, cfg),
+        "removals_justified": recheck_core(g, core, cfg),
     }
     result = {
         "z_size": len(core.Z),
@@ -410,8 +345,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stages = _Stages(args.deterministic)
     g = load_graph(args.graph)
     options: dict[str, Any] = {"graph": args.graph, "problem": args.problem}
-    result: dict[str, Any]
-    verified: dict[str, bool]
 
     if args.problem == "steiner":
         if args.terminals is None:
@@ -436,16 +369,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         options.update({"r": args.r, "k": args.k})
         with stages("solve"):
             sol = exact_drds(g, args.r, args.k)
-        if sol is None:
-            result = {"solution": "NONE"}
-            _emit(_report("solve", options, g, stages, result, None))
-            return 3
-        ok = len(sol) <= args.k and _verify_drds(g, sol, args.r)
-        result = {"solution": sorted(sol)}
-        _emit(_report("solve", options, g, stages, result, {"dominating": ok}))
-        return 0 if ok else 2
-
-    if args.problem in ("cds", "cds-fpt"):
+    else:
         if args.k is None:
             raise InputError(f"--k is required for the {args.problem} problem")
         options["k"] = args.k
@@ -458,34 +382,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
                         g, args.k, _uqw_config(args), K_threshold=args.K_threshold
                     )
         except DensityError as exc:
-            result = {
-                "failure": "density",
-                "message": str(exc),
-                "certificate": list(exc.certificate),
-                "candidates": list(exc.candidates),
-            }
-            _emit(_report("solve", options, g, stages, result, None))
-            return 2
-        if sol is None:
-            result = {"solution": "NONE"}
-            _emit(_report("solve", options, g, stages, result, None))
-            return 3
-        ok = len(sol) <= args.k and _verify_cds(g, sol)
-        result = {"solution": sorted(sol)}
-        _emit(
-            _report("solve", options, g, stages, result, {"connected_dominating": ok})
-        )
-        return 0 if ok else 2
-
-    raise InputError(f"unknown problem {args.problem!r}")
+            return _refusal("solve", options, g, stages, exc)
+    if sol is None:
+        _emit(_report("solve", options, g, stages, {"solution": "NONE"}, None))
+        return 3
+    if args.problem == "drds":
+        verified = {"dominating": len(sol) <= args.k and verify_drds(g, sol, args.r)}
+    else:
+        verified = {"connected_dominating": len(sol) <= args.k and verify_cds(g, sol)}
+    _emit(_report("solve", options, g, stages, {"solution": sorted(sol)}, verified))
+    return 0 if all(verified.values()) else 2
 
 
-def _bench_cell(
-    family: str, size: int, args: argparse.Namespace, k: int, deterministic: bool
-) -> dict[str, Any]:
-    if family == "grid":
+def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
+    if args.family == "grid":
         g = generate(GenSpec(family="grid", params={"w": size, "h": size}))
-    elif family == "random_degenerate":
+    elif args.family == "random_degenerate":
         g = generate(
             GenSpec(
                 family="random_degenerate",
@@ -493,17 +405,14 @@ def _bench_cell(
             )
         )
     else:
-        raise InputError(f"bench supports grid and random_degenerate, not {family!r}")
+        raise InputError(
+            f"bench supports grid and random_degenerate, not {args.family!r}"
+        )
     cfg = CoreConfig(r=args.r, k=k, ell=args.ell, uqw=_uqw_config(args))
-    stages = _Stages(deterministic)
-    with stages("core"):
-        core = domination_core(g, cfg, batch=True)
-    with stages("reduce"):
-        reps = reduce_dominators(g, core.Z, args.r)
-    with stages("build"):
-        ker = build_kernel(g, core.Z, reps, args.r, k)
+    stages = _Stages(args.deterministic)
+    core, reps, ker = kernel_pipeline(g, cfg, stages)
     return {
-        "family": family,
+        "family": args.family,
         "n": g.n,
         "r": args.r,
         "k": k,
@@ -513,7 +422,7 @@ def _bench_cell(
         "t_core_ms": stages.timings["core"],
         "t_reduce_ms": stages.timings["reduce"],
         "t_build_ms": stages.timings["build"],
-        "verified": _recheck_core(g, core, cfg),
+        "verified": recheck_core(g, core, cfg),
         "projection_ok": ker.projection_ok,
     }
 
@@ -538,23 +447,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     stages = _Stages(args.deterministic)
     sizes = _parse_int_list(args.sizes, "size")
     ks = _parse_int_list(args.ks, "k")
-    cells = [(size, k) for size in sizes for k in ks]
-    workers = 1 if args.deterministic else max(1, args.threads)
-
-    def run(cell: tuple[int, int]) -> dict[str, Any]:
-        size, k = cell
-        return _bench_cell(args.family, size, args, k, args.deterministic)
-
     with stages("bench"):
-        if workers == 1:
-            rows = [run(cell) for cell in cells]
-        else:
-            # Cells are independent; rows keep sweep order no matter which
-            # worker finishes first.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(run, cells))
+        rows = [_bench_cell(args, size, k) for size in sizes for k in ks]
 
     def cell_text(value: Any) -> str:
         if isinstance(value, bool):
@@ -599,11 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing never mutates it."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for random families")
-    common.add_argument("--threads", type=int, default=1, help="bench worker count")
     common.add_argument(
         "--deterministic",
         action="store_true",
-        help="zero timing fields and force one worker for byte-stable output",
+        help="zero timing fields for byte-stable output",
     )
 
     parser = _Parser(prog="quasiwide", description=__doc__)
@@ -692,7 +585,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _stage_logs() -> None:
+    """Send the package's stage logs to stderr as ``[module] message`` when
+    ``QUASIWIDE_LOG`` is set; the variable is read once per process."""
+    if os.environ.get("QUASIWIDE_LOG"):
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("[%(module)s] %(message)s"))
+        logger = logging.getLogger("quasiwide")
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _stage_logs()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

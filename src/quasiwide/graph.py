@@ -17,8 +17,8 @@ Conventions:
   (``math.inf``), which keeps capped distance vectors hashable.
 - Deleted-set arguments (``forbidden``, ``avoid``) emulate the subgraph
   ``G - S`` without copying the graph.
-- Every traversal walks layer by layer: one set of reached vertices and a
-  list per layer, in the order a FIFO queue would visit them.
+- Every distance traversal walks layer by layer: one set of reached
+  vertices and a list per layer, in the order a FIFO queue would visit them.
 """
 
 from __future__ import annotations
@@ -255,12 +255,14 @@ def distances_from(
 ) -> dict[int, int]:
     """BFS distance map from ``source``, cut off beyond ``cap``.
 
-    The map lists vertices in BFS order. A negative ``cap`` cuts nothing off.
+    The map lists vertices in BFS order.
     """
+    if cap < 0:
+        raise InputError(f"cap must be non-negative, got {cap}")
     _check_vertex(g, source)
     if source in forbidden:
         raise InputError(f"source {source} is in the forbidden set")
-    _, layers = _layers(g.adj, [source], cap if cap >= 0 else g.n, forbidden)
+    _, layers = _layers(g.adj, [source], cap, forbidden)
     return {v: d for d, layer in enumerate(layers) for v in layer}
 
 
@@ -273,8 +275,6 @@ def distance_vector(
     result is a plain tuple so same-vector classes can be bucketed by
     equality.
     """
-    if cap < 0:
-        raise InputError(f"cap must be non-negative, got {cap}")
     dist = distances_from(g, v, cap)
     return tuple(dist.get(t, INF) for t in targets)
 
@@ -332,6 +332,24 @@ def is_r_independent(
         if reached & member:
             return False
     return True
+
+
+def induced_connected(g: Graph, vertices: Iterable[int]) -> bool:
+    """True when the vertices induce a connected subgraph of G (at most one
+    vertex counts as connected)."""
+    vs = set(vertices)
+    if len(vs) <= 1:
+        return True
+    start = min(vs)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
 
 
 @dataclass(eq=False)

@@ -17,17 +17,19 @@ The pipeline shrinks an instance (G, r, k) in three stages:
    projection distances, and a gadget forcing one extra dominator, so that
    G has a distance-r dominating set of size k iff H has one of size k + 1.
 
+:func:`kernel_pipeline` runs the three in order.
+
 Stage outputs carry enough bookkeeping (removal log, projections, id maps)
 for every claim to be re-checked by the tests.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+import logging
 from bisect import bisect_left
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError, InputError, InternalError, KernelBuildError
 from .graph import (
@@ -39,12 +41,7 @@ from .graph import (
 )
 from .uqw import UqwConfig, uqw_split
 
-_LOG_ENV = "QUASIWIDE_LOG"
-
-
-def _log(msg: str) -> None:
-    if os.environ.get(_LOG_ENV):
-        print(f"[kernelize] {msg}", file=sys.stderr)
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -160,10 +157,10 @@ def find_irrelevant_dominatee(
         if len(a) == len(zs):
             break
         window *= 2
-        _log(f"no qualifying bucket, widening window to {window}")
-    _log(
-        f"no removable dominatee found (|Z|={len(zs)}, ell={ell}); "
-        "core stays above threshold"
+        _log.debug("no qualifying bucket, widening window to %d", window)
+    _log.debug(
+        "no removable dominatee found (|Z|=%d, ell=%d); core stays above threshold",
+        len(zs), ell,
     )
     return None
 
@@ -209,7 +206,7 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
         for w in removed:
             log.append(RemovalRecord(w=w, anchors=rem.anchors, bucket=rem.bucket))
             del z[bisect_left(z, w)]
-        _log(f"removed {len(removed)} dominatee(s), |Z|={len(z)}")
+        _log.debug("removed %d dominatee(s), |Z|=%d", len(removed), len(z))
     return DominationCore(Z=frozenset(z), removal_log=tuple(log))
 
 
@@ -399,19 +396,25 @@ def build_kernel(
     )
 
 
-def kernelize(
-    g: Graph, r: int, k: int, cfg: CoreConfig | None = None
-) -> KernelInstance:
-    """Full pipeline: sieve the core, reduce dominators, build the kernel."""
-    if cfg is None:
-        cfg = CoreConfig(r=r, k=k)
-    elif cfg.r != r or cfg.k != k:
-        raise ConfigError(
-            f"config carries (r={cfg.r}, k={cfg.k}) but kernelize got (r={r}, k={k})"
-        )
-    core = domination_core(g, cfg, batch=True)
-    reps = reduce_dominators(g, core.Z, r)
-    return build_kernel(g, core.Z, reps, r, k)
+def kernel_pipeline(
+    g: Graph,
+    cfg: CoreConfig,
+    stage: Callable[[str], AbstractContextManager[object]] = nullcontext,
+) -> tuple[DominationCore, Representatives, KernelInstance]:
+    """The whole kernelization: sieve the core, reduce dominators, build the
+    kernel, at ``cfg``'s radius and budget.
+
+    ``stage(name)`` wraps each step, named "core", "reduce" and "build"; the
+    default wraps nothing. The steps are looked up in this module when
+    called, so a wrapper installed on one of them sees every call.
+    """
+    with stage("core"):
+        core = domination_core(g, cfg)
+    with stage("reduce"):
+        reps = reduce_dominators(g, core.Z, cfg.r)
+    with stage("build"):
+        ker = build_kernel(g, core.Z, reps, cfg.r, cfg.k)
+    return core, reps, ker
 
 
 __all__ = [
@@ -425,5 +428,5 @@ __all__ = [
     "domination_core",
     "reduce_dominators",
     "build_kernel",
-    "kernelize",
+    "kernel_pipeline",
 ]

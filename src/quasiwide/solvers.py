@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from . import _kernels
+from .check import check_cds_branch
 from .errors import ConfigError, InfeasibleError, InputError, InternalError
-from .graph import Graph, bfs_limited, build_graph
+from .graph import Graph, bfs_limited, build_graph, induced_connected
 from .uqw import UqwConfig, uqw_split
 
 # Cap on (terminal subsets) x (vertices) states in the Steiner DP: above
@@ -228,22 +228,6 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
     return frozenset(edges), total
 
 
-def _induced_connected(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
-    if len(vs) <= 1:
-        return True
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
-
-
 def brute_cds(g: Graph, k: int) -> set[int] | None:
     """Exhaustive connected-dominating-set search in lexicographic order.
 
@@ -262,29 +246,9 @@ def brute_cds(g: Graph, k: int) -> set[int] | None:
             dom = 0
             for v in combo:
                 dom |= masks[v]
-            if dom == full and _induced_connected(g, combo):
+            if dom == full and induced_connected(g, combo):
                 return set(combo)
     return None
-
-
-def _every_small_cds_hits(g: Graph, k: int, x: list[int], s: frozenset[int]) -> bool:
-    """Debug-only exhaustive check that every connected dominating set of
-    size <= k extending x intersects s."""
-    masks = _kernels.nr_masks(g, 1)
-    full = (1 << g.n) - 1
-    others = [v for v in range(g.n) if v not in set(x)]
-    base = set(x)
-    for extra_size in range(0, k - len(x) + 1):
-        for extra in combinations(others, extra_size):
-            d = base | set(extra)
-            dom = 0
-            for v in d:
-                dom |= masks[v]
-            if dom != full or not _induced_connected(g, d):
-                continue
-            if not (d & s):
-                return False
-    return True
 
 
 def cds_fpt(
@@ -333,7 +297,7 @@ def cds_fpt(
         if not w_list:
             if len(x) <= 1:
                 return set(x)
-            if _induced_connected(g, x):
+            if induced_connected(g, x):
                 return set(x)
             edges, _cost = dreyfus_wagner(SteinerInstance(g, tuple(sorted(x))))
             tree_v = {v for e in edges for v in e} | set(x)
@@ -384,7 +348,7 @@ def cds_fpt(
             dom = 0
             for v in candidate:
                 dom |= masks[v]
-            if dom != full or not _induced_connected(g, candidate):
+            if dom != full or not induced_connected(g, candidate):
                 return None
             return candidate
 
@@ -424,7 +388,7 @@ def cds_fpt(
         w_mask = full & ~covered
         i = len(x)
         if w_mask == 0:
-            if _induced_connected(g, x):
+            if induced_connected(g, x):
                 return set(x)
             if i >= k:
                 return None
@@ -439,7 +403,7 @@ def cds_fpt(
             if len(res.B) >= k - i + 1:
                 if not res.S:
                     return None
-                assert g.n > 14 or _every_small_cds_hits(g, k, x, res.S)
+                check_cds_branch(g, k, x, res.S)
                 for v in sorted(res.S):
                     out = search(x + [v], covered | masks[v])
                     if out is not None:

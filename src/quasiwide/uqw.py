@@ -16,22 +16,17 @@ as a certificate instead of a result.
 
 from __future__ import annotations
 
+import logging
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .check import uqw_verify  # re-exported: the split's recheck
 from .errors import ConfigError, DensityError, InputError
 from .graph import Graph, bfs_limited, contract_balls, is_r_independent
 from .logic import delta_k, extract_indiscernible
 
-_LOG_ENV = "QUASIWIDE_LOG"
-
-
-def _log(msg: str) -> None:
-    if os.environ.get(_LOG_ENV):
-        print(f"[uqw] {msg}", file=sys.stderr)
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,9 @@ def uqw_split(
             contracted_size=g.n,
         )
     )
-    _log(f"round 1: |A|={len(a_sorted)} extracted={len(extracted)} |S|={len(z)} |B|={len(b)}")
+    _log.debug(
+        "round 1: |A|=%d extracted=%d |S|=%d |B|=%d", len(a_sorted), len(extracted), len(z), len(b)
+    )
 
     for i in range(1, total_rounds):
         if not b:
@@ -230,28 +227,14 @@ def uqw_split(
                 contracted_size=con2.graph.n,
             )
         )
-        _log(
-            f"round {i + 1}: centers={len(seq)} extracted={len(extracted_h)} "
-            f"|S|={len(z)} |B|={len(b)} contracted_n={con2.graph.n}"
+        _log.debug(
+            "round %d: centers=%d extracted=%d |S|=%d |B|=%d contracted_n=%d",
+            i + 1, len(seq), len(extracted_h), len(z), len(b), con2.graph.n,
         )
 
     b = b[:m]
     verified = is_r_independent(g, b, r, frozenset(z)) if b else True
     return UqwResult(S=frozenset(z), B=tuple(b), rounds=tuple(logs), verified=verified)
-
-
-def uqw_verify(g: Graph, result: UqwResult, A: Sequence[int], r: int) -> bool:
-    """Independent recheck: B inside A, disjoint from S, r-independent in
-    G - S. Returns False instead of raising on malformed results."""
-    a_set = set(A)
-    if not set(result.B) <= a_set:
-        return False
-    if set(result.B) & result.S:
-        return False
-    try:
-        return is_r_independent(g, result.B, r, frozenset(result.S))
-    except InputError:
-        return False
 
 
 __all__ = [

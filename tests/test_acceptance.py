@@ -19,7 +19,7 @@ from quasiwide.kernelize import (
     CoreConfig,
     build_kernel,
     domination_core,
-    kernelize,
+    kernel_pipeline,
     reduce_dominators,
 )
 from quasiwide.logic import delta_k, extract_indiscernible, is_indiscernible, ladder_index
@@ -197,7 +197,7 @@ def test_criterion_4_kernel_equivalence():
         g = generate(
             GenSpec("random_degenerate", {"n": n, "c": 1 + i % 3, "seed": 1000 + i})
         )
-        ki = kernelize(g, 1, k, CoreConfig(r=1, k=k, ell=max(16, k + 2)))
+        ki = kernel_pipeline(g, CoreConfig(r=1, k=k, ell=max(16, k + 2)))[2]
         assert ki.projection_ok
         yes_g = exact_drds(g, 1, k) is not None
         yes_h = exact_drds(ki.graph, 1, ki.k_new) is not None
@@ -209,7 +209,7 @@ def test_criterion_4_kernel_equivalence():
         g = generate(
             GenSpec("random_degenerate", {"n": n, "c": 1 + i % 2, "seed": 2000 + i})
         )
-        ki = kernelize(g, 2, k, CoreConfig(r=2, k=k, ell=16))
+        ki = kernel_pipeline(g, CoreConfig(r=2, k=k, ell=16))[2]
         assert ki.projection_ok
         yes_g = exact_drds(g, 2, k) is not None
         yes_h = exact_drds(ki.graph, 2, ki.k_new) is not None

@@ -4,6 +4,7 @@ error routing, and stream separation are exercised end to end; the last
 test calls ``main`` in-process, as the benchmark and library callers do."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,9 +13,12 @@ import pytest
 CLI = [sys.executable, "-m", "quasiwide.cli"]
 
 
-def run(*argv, check=False):
+def run(*argv, check=False, log=False):
+    env = {key: value for key, value in os.environ.items() if key != "QUASIWIDE_LOG"}
+    if log:
+        env["QUASIWIDE_LOG"] = "1"
     proc = subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, timeout=120
+        CLI + list(argv), capture_output=True, text=True, timeout=120, env=env
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -75,6 +79,70 @@ def test_uqw_density_failure_exit_2(tmp_path):
     assert doc["result"]["failure"] == "density"
     assert len(doc["result"]["certificate"]) == 16
     assert doc["result"]["rounds_completed"] == 0
+
+
+@pytest.fixture()
+def dense_repro(tmp_path):
+    """A 40-vertex 2-degenerate graph on which the sieve's radius-4 split
+    refuses at the default s_max."""
+    path = tmp_path / "repro.el"
+    run(
+        "gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
+        "--out", str(path), check=True,
+    )
+    return str(path)
+
+
+def assert_density_refusal(proc, message):
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert set(doc["result"]) == {"candidates", "certificate", "failure", "message"}
+    assert doc["result"]["failure"] == "density"
+    assert doc["result"]["message"] == message
+    assert doc["timings_ms"] == {}
+    assert "verified" not in doc
+
+
+@pytest.mark.parametrize("command", ["core", "kernelize"])
+def test_sieve_density_refusal_report(tmp_path, dense_repro, command):
+    kern = tmp_path / "k.kern"
+    extra = ("--out", str(kern)) if command == "kernelize" else ()
+    proc = run(
+        command, "--graph", dense_repro, "--r", "2", "--k", "5", "--ell", "16",
+        *extra, "--deterministic",
+    )
+    assert_density_refusal(proc, "deletion set would reach 18 > s_max=16 in round 2")
+    assert not kern.exists()
+
+
+def test_cds_fpt_density_refusal_report(tmp_path):
+    k16 = tmp_path / "k16.el"
+    run("gen", "--family", "clique", "--params", "n=16", "--out", str(k16), check=True)
+    proc = run(
+        "solve", "--graph", str(k16), "--problem", "cds-fpt", "--k", "3",
+        "--s-max", "2", "--K-threshold", "5", "--deterministic",
+    )
+    assert_density_refusal(proc, "deletion set would reach 16 > s_max=2 in round 1")
+
+
+def test_stage_logs_go_to_stderr_only(dense_repro):
+    argv = (
+        "core", "--graph", dense_repro, "--r", "1", "--k", "5", "--ell", "16",
+        "--deterministic",
+    )
+    quiet = run(*argv, check=True)
+    loud = run(*argv, check=True, log=True)
+    assert loud.stdout == quiet.stdout
+    assert quiet.stderr == ""
+    assert loud.stderr.splitlines() == [
+        "[uqw] round 1: |A|=16 extracted=4 |S|=2 |B|=2",
+        "[kernelize] no qualifying bucket, widening window to 32",
+        "[uqw] round 1: |A|=32 extracted=4 |S|=0 |B|=2",
+        "[kernelize] no qualifying bucket, widening window to 64",
+        "[uqw] round 1: |A|=40 extracted=4 |S|=0 |B|=2",
+        "[kernelize] no removable dominatee found (|Z|=40, ell=16); "
+        "core stays above threshold",
+    ]
 
 
 def test_indiscernible_command(grid32):

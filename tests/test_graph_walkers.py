@@ -32,7 +32,7 @@ from quasiwide.graph import (
     is_r_independent,
 )
 from quasiwide.io import save_graph
-from quasiwide.kernelize import CoreConfig, kernelize
+from quasiwide.kernelize import CoreConfig, kernel_pipeline
 from quasiwide.uqw import _prune_spread
 
 RADII = range(6)
@@ -132,8 +132,8 @@ def test_bfs_and_distances_match_deque_bfs():
                     ref = reference_distances(g, sources[:1], depth, forbidden)
                     # same distances, listed in the same BFS order
                     assert list(d.items()) == list(ref.items())
-        v = rng.randrange(g.n)
-        assert distances_from(g, v, -1) == reference_distances(g, [v], -1)
+        with pytest.raises(InputError, match="cap must be non-negative"):
+            distances_from(g, rng.randrange(g.n), -1)
 
 
 def test_distance_vectors_match_deque_bfs():
@@ -277,9 +277,9 @@ def test_peel_runs_once_and_only_on_read(peel_calls):
 
 def test_kernelize_never_peels(peel_calls):
     g = generate(GenSpec("grid", {"w": 40, "h": 6}))
-    ki = kernelize(g, 1, 2, CoreConfig(r=1, k=2, ell=16))
+    ki = kernel_pipeline(g, CoreConfig(r=1, k=2, ell=16))[2]
     path = generate(GenSpec("path", {"n": 20}))
-    ki2 = kernelize(path, 2, 4, CoreConfig(r=2, k=4, ell=16))
+    ki2 = kernel_pipeline(path, CoreConfig(r=2, k=4, ell=16))[2]
     assert ki.graph.n > 0 and ki2.graph.n > 0
     assert peel_calls == []
 
