@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleError,
     InputError,
     InternalError,
-    KernelBuildError,
     QuasiwideError,
 )
 from .generators import GenSpec, SplitMix64, generate
@@ -80,7 +79,6 @@ __all__ = [
     "InfeasibleError",
     "InputError",
     "InternalError",
-    "KernelBuildError",
     "KernelInstance",
     "QuasiwideError",
     "Representatives",

@@ -28,13 +28,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .check import recheck_core, uqw_verify, verify_cds, verify_drds
-from .errors import (
-    ConfigError,
-    DensityError,
-    InfeasibleError,
-    InputError,
-    KernelBuildError,
-)
+from .errors import ConfigError, DensityError, InfeasibleError, InputError
 from .generators import GenSpec, generate
 from .graph import Graph
 from .io import (
@@ -109,19 +103,17 @@ def _refusal(
     options: dict[str, Any],
     g: Graph,
     stages: _Stages,
-    exc: DensityError | KernelBuildError,
+    exc: DensityError,
     **extra: Any,
 ) -> int:
     """Report a refusal with its certificate; the exit code is 2."""
-    if isinstance(exc, KernelBuildError):
-        result = {"failure": "kernel-build", "offending": [list(p) for p in exc.offending]}
-    else:
-        result = {
-            "failure": "density",
-            "certificate": list(exc.certificate),
-            "candidates": list(exc.candidates),
-        }
-    result.update(message=str(exc), **extra)
+    result = {
+        "failure": "density",
+        "certificate": list(exc.certificate),
+        "candidates": list(exc.candidates),
+        "message": str(exc),
+        **extra,
+    }
     _emit(_report(command, options, g, stages, result, None))
     return 2
 
@@ -167,13 +159,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _uqw_config(args: argparse.Namespace) -> UqwConfig:
-    return UqwConfig(
-        s_max=args.s_max,
-        theta=args.theta,
-        delta_k=args.delta_k,
-        delta_cap=args.delta_cap,
-        max_rounds=args.max_rounds,
-    )
+    return UqwConfig(s_max=args.s_max, delta_k=args.delta_k)
 
 
 def _core_config(args: argparse.Namespace) -> CoreConfig:
@@ -298,7 +284,7 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
     }
     try:
         core, reps, ker = kernel_pipeline(g, cfg, stages)
-    except (DensityError, KernelBuildError) as exc:
+    except DensityError as exc:
         return _refusal("kernelize", options, g, stages, exc)
 
     Path(args.out).write_text(
@@ -427,22 +413,6 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
     }
 
 
-_BENCH_COLUMNS = [
-    "family",
-    "n",
-    "r",
-    "k",
-    "z",
-    "y",
-    "vh",
-    "t_core_ms",
-    "t_reduce_ms",
-    "t_build_ms",
-    "verified",
-    "projection_ok",
-]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     stages = _Stages(args.deterministic)
     sizes = _parse_int_list(args.sizes, "size")
@@ -455,10 +425,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return "true" if value else "false"
         return str(value)
 
-    lines = [",".join(_BENCH_COLUMNS)]
-    lines.extend(
-        ",".join(cell_text(row[col]) for col in _BENCH_COLUMNS) for row in rows
-    )
+    # the columns are the keys of a row, in _bench_cell's order
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(cell_text(value) for value in row.values()) for row in rows)
     Path(args.out).write_text("\n".join(lines) + "\n")
     options = {
         "family": args.family,
@@ -475,16 +444,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_uqw_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s-max", type=int, default=16, help="deletion budget")
     parser.add_argument(
-        "--theta", type=float, default=0.5, help="adjacency fraction moving a vertex to S"
-    )
-    parser.add_argument(
-        "--delta-k", type=int, default=None, help="fixed formula arity override"
-    )
-    parser.add_argument(
-        "--delta-cap", type=int, default=4, help="cap on the per-round formula arity"
-    )
-    parser.add_argument(
-        "--max-rounds", type=int, default=None, help="override the round count"
+        "--delta-k", type=int, default=4, help="formula arity of every splitter round"
     )
 
 
@@ -492,7 +452,6 @@ def _add_uqw_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing never mutates it."""
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for random families")
     common.add_argument(
         "--deterministic",
         action="store_true",
@@ -510,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated name=value family parameters, e.g. w=5,h=4",
     )
     p.add_argument("--out", default=None, help="edge-list path (default stdout)")
+    p.add_argument("--seed", type=int, default=0, help="seed for random families")
 
     p = sub.add_parser("uqw", parents=[common], help="run the wide-set splitter")
     p.add_argument("--graph", required=True)
@@ -580,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--c", type=int, default=3, help="degeneracy bound for random_degenerate"
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for random_degenerate")
     _add_uqw_flags(p)
 
     return parser
@@ -608,7 +569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ConfigError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DensityError, KernelBuildError) as exc:
+    except DensityError as exc:
         # Commands format their own certificates; anything reaching here is a
         # failure outside a command body.
         print(f"failure: {exc}", file=sys.stderr)

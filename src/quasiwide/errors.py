@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: bad input is 1, an algorithmic failure
-that comes with a certificate (density, unbuildable kernel) is 2, and a
-decision-problem "no" is 3 (not an exception, solvers return None for it).
+The CLI maps these onto exit codes: bad input is 1, the splitter's refusal
+of a dense input (:class:`DensityError`, which carries its certificate) is 2,
+and a decision-problem "no" is 3 (not an exception, solvers return None for
+it).
 """
 
 from __future__ import annotations
@@ -52,14 +53,3 @@ class DensityError(QuasiwideError):
         self.candidates = tuple(sorted(candidates))
         self.rounds = tuple(rounds)
 
-
-class KernelBuildError(QuasiwideError):
-    """Kernel assembly could not restore the projection property.
-
-    Raised only after the subdivision fallback is exhausted; carries the
-    offending representative/core pairs so the failure is reportable.
-    """
-
-    def __init__(self, message: str, *, offending: Sequence[tuple[int, int]] = ()) -> None:
-        super().__init__(message)
-        self.offending = tuple(offending)

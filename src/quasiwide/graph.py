@@ -151,6 +151,13 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise InputError(f"vertex {v} outside 0..{g.n - 1}")
 
 
+def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    """Raise :class:`InputError` naming the first of ``vertices`` that is
+    not a vertex of ``g``."""
+    for v in vertices:
+        _check_vertex(g, v)
+
+
 def adjacent(g: Graph, u: int, v: int) -> bool:
     """Edge test in O(c): each vertex keeps at most ``c`` smaller neighbors,
     so it suffices to scan both short lists."""
@@ -321,8 +328,7 @@ def is_r_independent(
         raise InputError(f"vertices {overlap} are in the forbidden set")
     if r < 0:
         raise InputError(f"radius must be non-negative, got {r}")
-    for v in vs:
-        _check_vertex(g, v)
+    check_vertices(g, vs)
     if r % 2 == 0:
         return _claim_balls(g.adj, vs, r // 2, forbidden)[1] is None
     member = set(vs)
@@ -405,8 +411,7 @@ def contract_balls(
     bad = [v for v in cs if v in avoid]
     if bad:
         raise InputError(f"centers {bad} are in the avoid set")
-    for v in cs:
-        _check_vertex(g, v)
+    check_vertices(g, cs)
 
     owner, clash = _claim_balls(g.adj, cs, depth, avoid)
     if clash is not None:

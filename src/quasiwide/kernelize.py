@@ -31,11 +31,12 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .errors import ConfigError, InputError, InternalError, KernelBuildError
+from .errors import ConfigError, InputError, InternalError
 from .graph import (
     Graph,
     bfs_limited,
     build_graph,
+    check_vertices,
     distance_vectors,
     distances_from,
 )
@@ -67,12 +68,6 @@ class CoreConfig:
         if self.ell is not None and self.ell < self.k + 2:
             raise ConfigError(
                 f"ell must be at least k + 2 = {self.k + 2}, got {self.ell}"
-            )
-        # the splitter's last round spaces survivors 2 * rounds apart
-        if self.uqw.max_rounds is not None and self.uqw.max_rounds < self.r:
-            raise ConfigError(
-                f"max_rounds must be at least r = {self.r} for the sieve's "
-                f"{2 * self.r}-independent split, got {self.uqw.max_rounds}"
             )
 
     @property
@@ -118,9 +113,7 @@ def find_irrelevant_dominatee(
         zs: list[int] = Z
     else:
         zs = sorted(set(Z))
-        for v in zs:
-            if not (0 <= v < g.n):
-                raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+        check_vertices(g, zs)
     ell = cfg.effective_ell
     if len(zs) <= ell:
         return None
@@ -231,9 +224,7 @@ def reduce_dominators(g: Graph, Z: Iterable[int], r: int) -> Representatives:
     if r < 1:
         raise InputError(f"radius must be positive, got {r}")
     zs = sorted(set(Z))
-    for v in zs:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, zs)
     lists: list[list[int]] = [[] for _ in range(g.n)]
     for z in zs:
         for v in bfs_limited(g, [z], r):
@@ -293,19 +284,15 @@ def build_kernel(
     forcing one dominator of its own while reaching no Z-copy, hence
     ``k_new = k + 1``.
 
-    Projections are re-verified inside H; a shortcut (impossible for fresh
-    internal paths, kept as a safety net) triggers up to r rounds of
-    subdividing the offending endpoints' incident path edges before giving
-    up with :class:`KernelBuildError`.
+    Projections are re-verified inside H once, and ``projection_ok`` reports
+    the result.
     """
     if r < 1:
         raise InputError(f"radius must be positive, got {r}")
     if k < 1:
         raise InputError(f"budget must be positive, got {k}")
     z_orig = sorted(set(Z))
-    for v in z_orig:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, z_orig)
     y_orig = sorted(reps.Y)
     base = sorted(set(z_orig) | set(y_orig))
     idx = {v: i for i, v in enumerate(base)}
@@ -343,45 +330,11 @@ def build_kernel(
         gadget_internals.extend(internals)
         gadget_chains.append([gadget_v, *internals, tgt])
 
-    expected = {
-        idx[y]: frozenset(idx[z] for z in reps.projection[y]) for y in y_orig
-    }
-
-    def verify(h: Graph) -> list[tuple[int, int]]:
-        bad: list[tuple[int, int]] = []
-        copy_set = frozenset(z_copies)
-        for yh, want in expected.items():
-            got = bfs_limited(h, [yh], r) & copy_set
-            for zh in sorted(got ^ want):
-                bad.append((yh, zh))
-        return bad
-
     h = _chains_to_graph(next_id, path_chains + gadget_chains)
-    offending = verify(h)
-    rounds_left = r
-    while offending and rounds_left > 0:
-        # Safety net for projection shortcuts: lengthen every projection
-        # path touching an offending endpoint by one subdivision and retry.
-        hot = {e for pair in offending for e in pair}
-        for chain in path_chains:
-            if chain[0] in hot:
-                chain.insert(1, next_id)
-                path_internals.append(next_id)
-                next_id += 1
-            if chain[-1] in hot:
-                chain.insert(len(chain) - 1, next_id)
-                path_internals.append(next_id)
-                next_id += 1
-        h = _chains_to_graph(next_id, path_chains + gadget_chains)
-        offending = verify(h)
-        rounds_left -= 1
-    if offending:
-        back = {i: v for v, i in idx.items()}
-        pairs = [(back[yh], back[zh]) for yh, zh in offending]
-        raise KernelBuildError(
-            f"projection shortcuts persist after {r} subdivision rounds",
-            offending=pairs,
-        )
+    projection_ok = all(
+        bfs_limited(h, [idx[y]], r) & z_copies == {idx[z] for z in reps.projection[y]}
+        for y in y_orig
+    )
 
     return KernelInstance(
         graph=h,
@@ -392,7 +345,7 @@ def build_kernel(
         gadget_v_prime=gadget_v_prime,
         gadget_internals=tuple(gadget_internals),
         path_internals=tuple(path_internals),
-        projection_ok=not offending,
+        projection_ok=projection_ok,
     )
 
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import _kernels
 from .errors import InputError
-from .graph import Graph, adjacency_bitsets
+from .graph import Graph, adjacency_bitsets, check_vertices
 
 
 class FormulaKind(IntEnum):
@@ -106,9 +106,7 @@ def eval_formula(g: Graph, f: FormulaId, args: Sequence[int]) -> bool:
     """
     if len(args) != f.k:
         raise InputError(f"{f.describe()} expects {f.k} arguments, got {len(args)}")
-    for v in args:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, args)
     return _kernels.eval_formula(g, int(f.kind), f.i, f.k, tuple(args))
 
 
@@ -138,9 +136,7 @@ def is_indiscernible(g: Graph, seq: Sequence[int], delta: Delta) -> bool:
         raise InputError("sequence must be non-empty")
     if len(set(seq)) != len(seq):
         raise InputError("sequence elements must be distinct")
-    for v in seq:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, seq)
     adjsets = [set(a) for a in g.adj]
     for f in delta.formulas:
         if len(seq) < f.k:
@@ -176,9 +172,7 @@ def extract_indiscernible(
     cur = list(seq)
     if len(set(cur)) != len(cur):
         raise InputError("sequence elements must be distinct")
-    for v in cur:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, cur)
     for f in delta.formulas:
         if len(cur) <= f.k:
             continue

@@ -139,8 +139,9 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
     full = (1 << tn) - 1
     inf = 2 * n + 7
 
-    dp: list[list[int] | None] = [None] * (full + 1)
-    back: list[list[tuple] | None] = [None] * (full + 1)
+    # mask 0 is never read; every other entry is replaced in mask order
+    dp: list[list[int]] = [[]] * (full + 1)
+    back: list[list[tuple]] = [[]] * (full + 1)
     for mask in range(1, full + 1):
         cost = [inf] * n
         trace: list[tuple] = [()] * n
@@ -155,7 +156,6 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
                 if sub & low:
                     other = mask ^ sub
                     ds, do = dp[sub], dp[other]
-                    assert ds is not None and do is not None
                     for v in range(n):
                         c = ds[v] + do[v]
                         if c < cost[v]:
@@ -184,7 +184,6 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
         back[mask] = trace
 
     final = dp[full]
-    assert final is not None
     root = min(range(n), key=lambda v: (final[v], v))
     total = final[root]
     if total >= inf:
@@ -194,9 +193,7 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
-        tr = back[mask]
-        assert tr is not None
-        tag = tr[v]
+        tag = back[mask][v]
         if tag[0] == "t":
             continue
         if tag[0] == "s":

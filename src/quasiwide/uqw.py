@@ -3,11 +3,13 @@
 Given a vertex set A and a radius r, :func:`uqw_split` computes a small set S
 and a subset B of A that is r-independent in G - S. It alternates
 indiscernible-subsequence extraction with ball contraction: each round
-extracts a long indiscernible sequence, moves vertices adjacent to a large
-fraction of it into S, thins the survivors to pairwise distance > 2i, and
-contracts radius-i balls around them so the next round's extraction sees one
-vertex per ball. After round ceil(r/2) the survivors are pairwise more than
-r apart in G - S.
+extracts a long indiscernible sequence, moves vertices adjacent to more
+than half of it (``THETA``) into S, thins the survivors to pairwise distance
+> 2i, and contracts radius-i balls around them so the next round's
+extraction sees one vertex per ball. After round ceil(r/2) the survivors are
+pairwise more than r apart in G - S. :class:`UqwConfig` sets the two
+parameters that vary: the budget for |S| and the arity of the formula family
+every round extracts with.
 
 The splitter refuses dense inputs: when S outgrows its budget the offending
 extraction sequence is returned inside a :class:`~quasiwide.errors.DensityError`
@@ -23,44 +25,31 @@ from typing import Iterable, Sequence
 
 from .check import uqw_verify  # re-exported: the split's recheck
 from .errors import ConfigError, DensityError, InputError
-from .graph import Graph, bfs_limited, contract_balls, is_r_independent
+from .graph import Graph, bfs_limited, check_vertices, contract_balls, is_r_independent
 from .logic import delta_k, extract_indiscernible
 
 _log = logging.getLogger(__name__)
 
 
+# A vertex adjacent to more than this fraction of an extracted sequence
+# moves into S.
+THETA = 0.5
+
+
 @dataclass(frozen=True)
 class UqwConfig:
-    """Splitter knobs.
-
-    ``s_max`` bounds |S|; ``theta`` is the adjacency fraction above which a
-    vertex is moved into S; ``delta_k`` overrides the per-round formula
-    arity (otherwise round i uses min(2i + 2, delta_cap)); ``max_rounds``
-    overrides the ceil(r/2) round count.
-    """
+    """Splitter knobs: ``s_max`` bounds |S|, and every round extracts with
+    the formula family of arity ``delta_k``. The round count is always
+    ceil(r/2)."""
 
     s_max: int = 16
-    theta: float = 0.5
-    delta_k: int | None = None
-    delta_cap: int = 4
-    max_rounds: int | None = None
+    delta_k: int = 4
 
     def __post_init__(self) -> None:
         if self.s_max < 0:
             raise ConfigError(f"s_max must be non-negative, got {self.s_max}")
-        if not (0.0 < self.theta <= 1.0):
-            raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.delta_k is not None and self.delta_k < 0:
+        if self.delta_k < 0:
             raise ConfigError(f"delta_k must be non-negative, got {self.delta_k}")
-        if self.delta_cap < 0:
-            raise ConfigError(f"delta_cap must be non-negative, got {self.delta_cap}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ConfigError(f"max_rounds must be positive, got {self.max_rounds}")
-
-    def arity_for_round(self, i: int) -> int:
-        if self.delta_k is not None:
-            return self.delta_k
-        return min(2 * i + 2, self.delta_cap)
 
 
 @dataclass(frozen=True)
@@ -85,13 +74,13 @@ class UqwResult:
     verified: bool
 
 
-def _high_adjacency(g: Graph, targets: Sequence[int], theta: float) -> set[int]:
-    """Vertices adjacent to more than ``theta * len(targets)`` of targets."""
+def _high_adjacency(g: Graph, targets: Sequence[int]) -> set[int]:
+    """Vertices adjacent to more than ``THETA * len(targets)`` of targets."""
     counts: dict[int, int] = {}
     for t in targets:
         for u in g.adj[t]:
             counts[u] = counts.get(u, 0) + 1
-    bound = theta * len(targets)
+    bound = THETA * len(targets)
     return {u for u, c in counts.items() if c > bound}
 
 
@@ -155,16 +144,14 @@ def uqw_split(
         raise InputError("A must be non-empty")
     if len(a_sorted) != len(a_list):
         raise InputError("A must not contain duplicates")
-    for v in a_sorted:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} outside 0..{g.n - 1}")
+    check_vertices(g, a_sorted)
 
-    total_rounds = cfg.max_rounds if cfg.max_rounds is not None else math.ceil(r / 2)
+    delta = delta_k(cfg.delta_k)
     logs: list[RoundLog] = []
 
     # Round 1 works on the input graph directly.
-    extracted = extract_indiscernible(g, a_sorted, delta_k(cfg.arity_for_round(1)), m)
-    s_new = _high_adjacency(g, extracted, cfg.theta)
+    extracted = extract_indiscernible(g, a_sorted, delta, m)
+    s_new = _high_adjacency(g, extracted)
     z: set[int] = set(s_new)
     if len(z) > cfg.s_max:
         raise DensityError(
@@ -188,7 +175,7 @@ def uqw_split(
         "round 1: |A|=%d extracted=%d |S|=%d |B|=%d", len(a_sorted), len(extracted), len(z), len(b)
     )
 
-    for i in range(1, total_rounds):
+    for i in range(1, math.ceil(r / 2)):
         if not b:
             break
         # Thin the survivors on a ball-contracted graph so only pairwise
@@ -200,10 +187,8 @@ def uqw_split(
         con2 = contract_balls(g, centers, i, avoid=frozenset(z), drop_avoid=True)
 
         seq = list(range(len(con2.centers)))
-        extracted_h = extract_indiscernible(
-            con2.graph, seq, delta_k(cfg.arity_for_round(i + 1)), m
-        )
-        heavy = _high_adjacency(con2.graph, extracted_h, cfg.theta)
+        extracted_h = extract_indiscernible(con2.graph, seq, delta, m)
+        heavy = _high_adjacency(con2.graph, extracted_h)
         s_new = {con2.base(h) for h in heavy if not con2.is_ball(h)}
         z_next = z | s_new
         cert = [con2.base(h) for h in extracted_h]

@@ -301,3 +301,67 @@ def test_in_process_calls_share_one_parser(monkeypatch, tmp_path, capsys):
     assert cli.main(["ladder", "--graph", str(path), "--max-k", "2"]) == 0
     assert seen == [3, 2]
     capsys.readouterr()
+
+
+# One valid argument list per subcommand that reads splitter flags; the
+# files are never opened, because parsing fails first.
+_SPLITTER_COMMANDS = {
+    "uqw": ["uqw", "--graph", "g.el", "--A", "all", "--r", "1", "--m", "2"],
+    "core": ["core", "--graph", "g.el", "--r", "1", "--k", "1"],
+    "kernelize": ["kernelize", "--graph", "g.el", "--r", "1", "--k", "1", "--out", "k"],
+    "solve": ["solve", "--graph", "g.el", "--problem", "cds-fpt", "--k", "1"],
+    "bench": ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",
+              "--out", "b.csv"],
+}
+_SEEDLESS_COMMANDS = {
+    **{name: argv for name, argv in _SPLITTER_COMMANDS.items() if name != "bench"},
+    "indiscernible": ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "1",
+                      "--m", "2"],
+    "ladder": ["ladder", "--graph", "g.el", "--max-k", "2"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--delta-cap", "--max-rounds"])
+@pytest.mark.parametrize("command", sorted(_SPLITTER_COMMANDS))
+def test_removed_splitter_flags_are_usage_errors(capsys, command, flag):
+    from quasiwide.cli import main
+
+    assert main(_SPLITTER_COMMANDS[command] + [flag, "1"]) == 1
+    assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDLESS_COMMANDS))
+def test_seed_only_where_a_command_reads_it(capsys, command):
+    from quasiwide.cli import main
+
+    assert main(_SEEDLESS_COMMANDS[command] + ["--seed", "3"]) == 1
+    assert "error: unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_gen_and_bench_read_seed(tmp_path, capsys):
+    from quasiwide.cli import main
+
+    seeded = tmp_path / "seeded.el"
+    assert main(["gen", "--family", "random_degenerate", "--params", "n=12,c=2",
+                 "--seed", "3", "--out", str(seeded)]) == 0
+    explicit = tmp_path / "explicit.el"
+    assert main(["gen", "--family", "random_degenerate", "--params", "n=12,c=2,seed=3",
+                 "--out", str(explicit)]) == 0
+    assert seeded.read_text() == explicit.read_text()
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--family", "random_degenerate", "--sizes", "12", "--r", "1",
+                 "--ks", "1", "--ell", "6", "--seed", "3", "--out", str(out),
+                 "--deterministic"]) == 0
+    assert out.read_text().splitlines()[1].startswith("random_degenerate,12,1,1,")
+    capsys.readouterr()
+
+
+def test_pure_import_loads_no_numpy():
+    # pure runs' set-up time and memory rest on never importing numpy
+    env = dict(os.environ, QUASIWIDE_FORCE_PURE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quasiwide.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

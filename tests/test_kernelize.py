@@ -32,7 +32,6 @@ from quasiwide.kernelize import (
     reduce_dominators,
 )
 from quasiwide.solvers import exact_drds
-from quasiwide.uqw import UqwConfig
 
 
 def star(p):
@@ -70,13 +69,6 @@ def test_config_defaults_and_validation():
         CoreConfig(r=1, k=0)
     with pytest.raises(ConfigError):
         CoreConfig(r=1, k=2, ell=3)  # ell must be at least k + 2
-
-
-def test_config_rejects_too_few_splitter_rounds():
-    # two rounds space the spread set 4 apart, as r = 2 needs
-    CoreConfig(r=2, k=1, uqw=UqwConfig(max_rounds=2))
-    with pytest.raises(ConfigError):
-        CoreConfig(r=2, k=1, uqw=UqwConfig(max_rounds=1))
 
 
 def test_find_irrelevant_below_threshold_is_none():
@@ -360,3 +352,51 @@ def test_build_kernel_verifies_projection():
             if h in inv_z
         }
         assert reached == set(reps.projection[y])
+
+
+def _bfs_distances(adj, source):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _property_instances():
+    rng = random.Random(8)
+    for i in range(60):
+        family = ("random_degenerate", "random_bounded_degree", "grid")[i % 3]
+        if family == "grid":
+            params = {"w": rng.randint(2, 6), "h": rng.randint(2, 5)}
+        elif family == "random_degenerate":
+            params = {"n": rng.randint(6, 30), "c": rng.randint(1, 3), "seed": i}
+        else:
+            params = {"n": rng.randint(6, 30), "d": rng.randint(2, 4), "seed": i}
+        g = generate(GenSpec(family, params))
+        z = rng.sample(range(g.n), rng.randint(0, g.n))
+        yield g, z, 1 + i % 4
+
+
+def test_kernel_paths_realize_projections_exactly():
+    # H's paths are as long as G's distances, so from each y-copy the
+    # Z-copies within r are exactly y's projection: the kernel needs no
+    # repair step after one build.
+    for g, z, r in _property_instances():
+        reps = reduce_dominators(g, z, r)
+        ki = build_kernel(g, z, reps, r, 1)
+        assert ki.projection_ok
+        z_of_copy = {h: v for v, h in ki.z_ids.items()}
+        internals = 0
+        for y, hy in ki.y_ids.items():
+            in_h = _bfs_distances(ki.graph.adj, hy)
+            reached = {z_of_copy[h] for h, d in in_h.items() if d <= r and h in z_of_copy}
+            assert reached == set(reps.projection[y]), (g.n, r, y)
+            in_g = _bfs_distances(g.adj, y)
+            internals += sum(in_g[v] - 1 for v in reps.projection[y] if v != y)
+        assert len(ki.path_internals) == internals

@@ -119,20 +119,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         UqwConfig(s_max=-1)
     with pytest.raises(ConfigError):
-        UqwConfig(theta=0.0)
-    with pytest.raises(ConfigError):
-        UqwConfig(theta=1.5)
-    with pytest.raises(ConfigError):
         UqwConfig(delta_k=-1)
-    with pytest.raises(ConfigError):
-        UqwConfig(max_rounds=0)
-
-
-def test_arity_schedule():
-    cfg = UqwConfig()
-    assert [cfg.arity_for_round(i) for i in (1, 2, 3)] == [4, 4, 4]
-    assert UqwConfig(delta_cap=6).arity_for_round(2) == 6
-    assert UqwConfig(delta_k=2).arity_for_round(3) == 2
 
 
 def test_uqw_verify_rejects_bad_results():
