@@ -7,6 +7,9 @@ Runs, with ``--deterministic`` added to every command:
 - the CLI invocations of acceptance criterion 9 (``tests/test_acceptance.py``);
 - four refusal repros: the sieve refusing a dense split under ``core`` and
   under ``kernelize``, and ``cds-fpt`` and ``uqw`` refusing a clique;
+- one command per remaining report branch: ``core --single``, the brute-force
+  ``cds`` solver, ``kernelize --verify`` above the safety bound, a missing
+  flag of each ``solve`` problem, and an unreadable ``--graph`` path;
 - every command of each ``perfbench`` workload at ``--seed``, from the
   manifest that ``perfbench/workloads.py`` writes when run as a script.
 
@@ -58,9 +61,22 @@ REFUSALS = [
     ["uqw", "--graph", "k16.el", "--A", "all", "--r", "2", "--m", "8", "--s-max", "4"],
 ]
 
-# The inputs of both lists above, generated first.
+BRANCHES = [
+    ["core", "--graph", "g.el", "--r", "1", "--k", "2", "--ell", "6", "--single"],
+    ["solve", "--graph", "g9.el", "--problem", "cds", "--k", "3"],
+    ["kernelize", "--graph", "g72.el", "--r", "1", "--k", "2", "--ell", "8",
+     "--out", "k72.txt", "--verify"],
+    ["solve", "--graph", "g.el", "--problem", "drds", "--k", "2"],
+    ["solve", "--graph", "g.el", "--problem", "cds-fpt"],
+    ["solve", "--graph", "g.el", "--problem", "steiner"],
+    ["ladder", "--graph", "missing.el", "--max-k", "2"],
+]
+
+# The inputs of the three lists above, generated first.
 INPUTS = [
     ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
+    ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
+    ["gen", "--family", "grid", "--params", "w=9,h=8", "--out", "g72.el"],
     ["gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
      "--out", "dense.el"],
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
@@ -106,7 +122,8 @@ def main() -> None:
         os.chdir(tmp)
         Path("ids.txt").write_text("0\n1\n2\n7\n")
         for group, commands in (
-            ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS)
+            ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS),
+            ("branch", BRANCHES),
         ):
             for argv in commands:
                 print(digest_line(cli_main, group, argv + ["--deterministic"]))

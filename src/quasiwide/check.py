@@ -11,9 +11,9 @@ Each check recomputes its claim from the graph with the primitives of
 - :func:`check_cds_branch`: on small graphs, every small connected
   dominating set meets the set the FPT solver branches on.
 
-The first four return a bool for the CLI's ``verified`` flags;
-:func:`check_cds_branch` guards a solver step and raises
-:class:`InternalError`.
+The first four return a bool for the CLI's ``verified`` flags, and the
+sieve checks each split with :func:`uqw_verify`; :func:`check_cds_branch`
+guards a solver step and raises :class:`InternalError`.
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 Subcommands: ``gen`` (emit a generated graph as an edge list), ``uqw``,
 ``indiscernible``, ``ladder``, ``core``, ``kernelize``, ``solve``, and
-``bench``. Every command except ``gen`` prints a JSON report to stdout with
-a fixed shape: command echo, input summary, per-stage timings in
-milliseconds, result payload, and verification flags. Commands that produce
-a mathematical object re-verify it before exiting 0.
+``bench``. Commands compute and ``main`` reports: each ``cmd_*`` function
+loads its input, records the options it echoes and returns ``(result,
+verified)``, and ``main`` alone prints the JSON report to stdout. The report
+has a fixed shape: command echo, input summary, per-stage timings in
+milliseconds, result payload, and verification flags. A splitter refusal
+(:class:`~quasiwide.errors.DensityError`) becomes a refusal report carrying
+its certificate. ``gen`` writes an edge list instead and prints no report.
 
-Exit codes: 0 success, 1 input error, 2 algorithmic failure with a
-certificate (refusals of dense inputs, failed verification), 3
-decision-problem "no". Passing ``--deterministic`` zeroes every timing field
-so reruns are byte-identical; set the ``QUASIWIDE_LOG`` environment variable
-to any non-empty value for stage logs on stderr.
+Exit codes, derived by ``main`` alone: 1 on an input error (message on
+stderr, no report); 2 on a refusal or any false verification flag; 3 when
+``solve`` answers "no"; else 0. Passing ``--deterministic`` zeroes every
+timing field so reruns are byte-identical; set the ``QUASIWIDE_LOG``
+environment variable to any non-empty value for stage logs on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -31,12 +35,7 @@ from .check import recheck_core, uqw_verify, verify_cds, verify_drds
 from .errors import ConfigError, DensityError, InfeasibleError, InputError
 from .generators import GenSpec, generate
 from .graph import Graph
-from .io import (
-    edge_list_text,
-    kernel_text,
-    load_graph,
-    load_id_list,
-)
+from .io import edge_list_text, kernel_text, load_graph, load_id_list
 from .kernelize import CoreConfig, domination_core, kernel_pipeline
 from .logic import delta_k, extract_indiscernible, is_indiscernible, ladder_index
 from .solvers import SteinerInstance, brute_cds, cds_fpt, dreyfus_wagner, exact_drds
@@ -44,6 +43,9 @@ from .uqw import UqwConfig, uqw_split
 
 _VERIFY_INPUT_BOUND = 64
 _VERIFY_KERNEL_BOUND = 512
+
+# A command's result payload and verification flags (None: nothing re-checked).
+Outcome = tuple[dict[str, Any], dict[str, bool] | None]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,11 +56,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-class _Stages:
-    """Stage timer; deterministic mode records every duration as 0.0."""
+class _Run:
+    """What a report says besides the result: the options a command echoes,
+    its input graph, and its stage timings. Calling it times a stage;
+    deterministic mode records every duration as 0.0."""
 
     def __init__(self, deterministic: bool) -> None:
         self.deterministic = deterministic
+        self.options: dict[str, Any] = {}
+        self.graph: Graph | None = None
         self.timings: dict[str, float] = {}
 
     @contextmanager
@@ -69,53 +75,33 @@ class _Stages:
         self.timings[name] = 0.0 if self.deterministic else round(elapsed, 3)
 
 
-def _graph_summary(g: Graph) -> dict[str, int]:
-    return {"n": g.n, "m": g.m, "degeneracy": g.c}
-
-
-def _emit(report: dict[str, Any]) -> None:
+def _print_report(
+    command: str, run: _Run, result: dict[str, Any], verified: dict[str, bool] | None
+) -> None:
+    report: dict[str, Any] = {
+        "command": command,
+        "options": run.options,
+        "timings_ms": run.timings,
+        "result": result,
+    }
+    if run.graph is not None:
+        report["input"] = {"n": run.graph.n, "m": run.graph.m, "degeneracy": run.graph.c}
+    if verified is not None:
+        report["verified"] = verified
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _report(
-    command: str,
-    options: dict[str, Any],
-    g: Graph | None,
-    stages: _Stages,
-    result: dict[str, Any],
-    verified: dict[str, bool] | None,
-) -> dict[str, Any]:
-    report: dict[str, Any] = {
-        "command": command,
-        "options": options,
-        "timings_ms": stages.timings,
-        "result": result,
-    }
-    if g is not None:
-        report["input"] = _graph_summary(g)
-    if verified is not None:
-        report["verified"] = verified
-    return report
-
-
-def _refusal(
-    command: str,
-    options: dict[str, Any],
-    g: Graph,
-    stages: _Stages,
-    exc: DensityError,
-    **extra: Any,
-) -> int:
-    """Report a refusal with its certificate; the exit code is 2."""
+def _refusal(command: str, exc: DensityError) -> dict[str, Any]:
+    """The result payload of a refusal, with its certificate."""
     result = {
         "failure": "density",
         "certificate": list(exc.certificate),
         "candidates": list(exc.candidates),
         "message": str(exc),
-        **extra,
     }
-    _emit(_report(command, options, g, stages, result, None))
-    return 2
+    if command == "uqw":  # elsewhere the rounds are those of a nested split
+        result["rounds_completed"] = len(exc.rounds)
+    return result
 
 
 def _parse_params(text: str) -> dict[str, int]:
@@ -159,7 +145,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _uqw_config(args: argparse.Namespace) -> UqwConfig:
-    return UqwConfig(s_max=args.s_max, delta_k=args.delta_k)
+    """A splitter config from the splitter flags given; the parser keeps no
+    defaults for them, so :class:`UqwConfig` holds the only ones."""
+    given = vars(args)
+    return UqwConfig(**{name: given[name] for name in ("s_max", "delta_k") if name in given})
 
 
 def _core_config(args: argparse.Namespace) -> CoreConfig:
@@ -172,7 +161,7 @@ def _load_vertex_spec(spec: str, g: Graph) -> list[int]:
     return load_id_list(spec)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
     params = _parse_params(args.params)
     if args.family in ("random_bounded_degree", "random_degenerate"):
         params.setdefault("seed", args.seed)
@@ -182,120 +171,69 @@ def cmd_gen(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def cmd_uqw(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
+def cmd_uqw(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
     a = _load_vertex_spec(args.A, g)
-    options = {"graph": args.graph, "A": args.A, "r": args.r, "m": args.m}
+    run.options = {"graph": args.graph, "A": args.A, "r": args.r, "m": args.m}
     cfg = _uqw_config(args)
-    try:
-        with stages("uqw"):
-            res = uqw_split(g, a, args.r, args.m, cfg)
-    except DensityError as exc:
-        return _refusal("uqw", options, g, stages, exc, rounds_completed=len(exc.rounds))
-    ok = res.verified and uqw_verify(g, res, a, args.r)
-    result = {
-        "S": sorted(res.S),
-        "B": list(res.B),
-        "rounds": [
-            {
-                "round": log.round,
-                "len_before": log.len_before,
-                "len_after": log.len_after,
-                "s_added": list(log.s_added),
-                "survivors": list(log.survivors),
-                "contracted_size": log.contracted_size,
-            }
-            for log in res.rounds
-        ],
-    }
-    _emit(_report("uqw", options, g, stages, result, {"independent": ok}))
-    return 0 if ok else 2
+    with run("uqw"):
+        res = uqw_split(g, a, args.r, args.m, cfg)
+    result = {"S": sorted(res.S), "B": list(res.B), "rounds": [asdict(log) for log in res.rounds]}
+    return result, {"independent": uqw_verify(g, res, a, args.r)}
 
 
-def cmd_indiscernible(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
+def cmd_indiscernible(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
     seq = _load_vertex_spec(args.seq, g)
     delta = delta_k(args.delta)
-    options = {"graph": args.graph, "seq": args.seq, "delta": args.delta, "m": args.m}
-    with stages("extract"):
+    run.options = {"graph": args.graph, "seq": args.seq, "delta": args.delta, "m": args.m}
+    with run("extract"):
         out = extract_indiscernible(g, seq, delta, args.m)
-    with stages("oracle"):
+    with run("oracle"):
         ok = is_indiscernible(g, out, delta)
-    result = {"sequence": list(out), "length": len(out), "target": args.m}
-    _emit(_report("indiscernible", options, g, stages, result, {"indiscernible": ok}))
-    return 0 if ok else 2
+    return {"sequence": list(out), "length": len(out), "target": args.m}, {"indiscernible": ok}
 
 
-def cmd_ladder(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
-    options = {"graph": args.graph, "max_k": args.max_k}
-    with stages("ladder"):
+def cmd_ladder(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
+    run.options = {"graph": args.graph, "max_k": args.max_k}
+    with run("ladder"):
         index = ladder_index(g, args.max_k)
-    result = {"ladder_index": index, "max_k": args.max_k}
-    _emit(_report("ladder", options, g, stages, result, None))
-    return 0
+    return {"ladder_index": index, "max_k": args.max_k}, None
 
 
-def cmd_core(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
+def _core_options(args: argparse.Namespace, cfg: CoreConfig) -> dict[str, Any]:
+    return {"graph": args.graph, "r": args.r, "k": args.k, "ell": cfg.effective_ell}
+
+
+_NO_SHRINKAGE = "no shrinkage: core equals the whole vertex set"
+
+
+def cmd_core(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
     cfg = _core_config(args)
-    options = {
-        "graph": args.graph,
-        "r": args.r,
-        "k": args.k,
-        "ell": cfg.effective_ell,
-        "batch": not args.single,
-    }
-    try:
-        with stages("core"):
-            core = domination_core(g, cfg, batch=not args.single)
-    except DensityError as exc:
-        return _refusal("core", options, g, stages, exc)
-    ok = recheck_core(g, core, cfg)
+    run.options = {**_core_options(args, cfg), "batch": not args.single}
+    with run("core"):
+        core = domination_core(g, cfg, batch=not args.single)
     result = {
         "Z": sorted(core.Z),
         "z_size": len(core.Z),
         "removed": sorted(rec.w for rec in core.removal_log),
     }
     if len(core.Z) == g.n:
-        result["note"] = "no shrinkage: core equals the whole vertex set"
-    _emit(_report("core", options, g, stages, result, {"removals_justified": ok}))
-    return 0 if ok else 2
+        result["note"] = _NO_SHRINKAGE
+    return result, {"removals_justified": recheck_core(g, core, cfg)}
 
 
-def cmd_kernelize(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
+def cmd_kernelize(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
     cfg = _core_config(args)
-    options = {
-        "graph": args.graph,
-        "r": args.r,
-        "k": args.k,
-        "ell": cfg.effective_ell,
-        "out": args.out,
-        "verify": args.verify,
-    }
-    try:
-        core, reps, ker = kernel_pipeline(g, cfg, stages)
-    except DensityError as exc:
-        return _refusal("kernelize", options, g, stages, exc)
-
-    Path(args.out).write_text(
-        kernel_text(
-            ker.graph,
-            ker.k_new,
-            sorted(ker.z_ids.values()),
-            sorted(ker.y_ids.values()),
-            list(ker.gadget_ids),
-        )
-    )
+    run.options = {**_core_options(args, cfg), "out": args.out, "verify": args.verify}
+    core, reps, ker = kernel_pipeline(g, cfg, run)
+    z_ids, y_ids = sorted(ker.z_ids.values()), sorted(ker.y_ids.values())
+    Path(args.out).write_text(kernel_text(ker.graph, ker.k_new, z_ids, y_ids, list(ker.gadget_ids)))
     verified = {
         "projection": ker.projection_ok,
         "removals_justified": recheck_core(g, core, cfg),
@@ -308,10 +246,10 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     if len(core.Z) == g.n:
-        result["note"] = "no shrinkage: core equals the whole vertex set"
+        result["note"] = _NO_SHRINKAGE
     if args.verify:
         if g.n <= _VERIFY_INPUT_BOUND and ker.graph.n <= _VERIFY_KERNEL_BOUND:
-            with stages("verify"):
+            with run("verify"):
                 ans_g = exact_drds(g, args.r, args.k) is not None
                 ans_h = exact_drds(ker.graph, args.r, ker.k_new) is not None
             verified["equivalence"] = ans_g == ans_h
@@ -323,21 +261,49 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             result["verify_skipped"] = True
-    _emit(_report("kernelize", options, g, stages, result, verified))
-    return 0 if all(verified.values()) else 2
+    return result, verified
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
-    g = load_graph(args.graph)
-    options: dict[str, Any] = {"graph": args.graph, "problem": args.problem}
+# The flags of ``solve``, by problem: those it requires, then the others it
+# reads. A problem refuses every flag of this table that it does not read.
+_SOLVE_FLAGS = {
+    "drds": (("r", "k"), ()),
+    "cds": (("k",), ()),
+    "cds-fpt": (("k",), ("s_max", "delta_k", "K_threshold")),
+    "steiner": (("terminals",), ()),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_solve_flags(args: argparse.Namespace) -> None:
+    """Refuse a missing required flag of the problem, then the first flag of
+    the table given that the problem does not read. The parser keeps no
+    defaults for these flags, so the namespace holds exactly those given,
+    in command-line order."""
+    required, reads = _SOLVE_FLAGS[args.problem]
+    given = vars(args)
+    if not all(name in given for name in required):
+        verb = "is" if len(required) == 1 else "are"
+        names = " and ".join(map(_flag, required))
+        raise InputError(f"{names} {verb} required for the {args.problem} problem")
+    table = {name for flags in _SOLVE_FLAGS.values() for names in flags for name in names}
+    for name in given:
+        if name in table and name not in required + reads:
+            raise InputError(f"--problem {args.problem} does not read {_flag(name)}")
+
+
+def cmd_solve(args: argparse.Namespace, run: _Run) -> Outcome:
+    g = run.graph = load_graph(args.graph)
+    _check_solve_flags(args)
+    run.options = {"graph": args.graph, "problem": args.problem}
 
     if args.problem == "steiner":
-        if args.terminals is None:
-            raise InputError("--terminals is required for the steiner problem")
         terminals = _parse_int_list(args.terminals, "terminal")
-        options["terminals"] = terminals
-        with stages("solve"):
+        run.options["terminals"] = terminals
+        with run("solve"):
             edges, cost = dreyfus_wagner(SteinerInstance(g, tuple(terminals)))
         vertices = sorted({v for e in edges for v in e} | set(terminals))
         ok = len(edges) == cost and set(terminals) <= set(vertices)
@@ -346,38 +312,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "cost": cost,
             "edges": sorted([list(e) for e in edges]),
         }
-        _emit(_report("solve", options, g, stages, result, {"tree": ok}))
-        return 0 if ok else 2
+        return result, {"tree": ok}
 
-    if args.problem == "drds":
-        if args.r is None or args.k is None:
-            raise InputError("--r and --k are required for the drds problem")
-        options.update({"r": args.r, "k": args.k})
-        with stages("solve"):
+    run.options.update({name: getattr(args, name) for name in _SOLVE_FLAGS[args.problem][0]})
+    with run("solve"):
+        if args.problem == "drds":
             sol = exact_drds(g, args.r, args.k)
-    else:
-        if args.k is None:
-            raise InputError(f"--k is required for the {args.problem} problem")
-        options["k"] = args.k
-        try:
-            with stages("solve"):
-                if args.problem == "cds":
-                    sol = brute_cds(g, args.k)
-                else:
-                    sol = cds_fpt(
-                        g, args.k, _uqw_config(args), K_threshold=args.K_threshold
-                    )
-        except DensityError as exc:
-            return _refusal("solve", options, g, stages, exc)
+        elif args.problem == "cds":
+            sol = brute_cds(g, args.k)
+        else:
+            sol = cds_fpt(
+                g, args.k, _uqw_config(args), K_threshold=getattr(args, "K_threshold", None)
+            )
     if sol is None:
-        _emit(_report("solve", options, g, stages, {"solution": "NONE"}, None))
-        return 3
+        return {"solution": "NONE"}, None
     if args.problem == "drds":
         verified = {"dominating": len(sol) <= args.k and verify_drds(g, sol, args.r)}
     else:
         verified = {"connected_dominating": len(sol) <= args.k and verify_cds(g, sol)}
-    _emit(_report("solve", options, g, stages, {"solution": sorted(sol)}, verified))
-    return 0 if all(verified.values()) else 2
+    return {"solution": sorted(sol)}, verified
 
 
 def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
@@ -395,7 +348,7 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
             f"bench supports grid and random_degenerate, not {args.family!r}"
         )
     cfg = CoreConfig(r=args.r, k=k, ell=args.ell, uqw=_uqw_config(args))
-    stages = _Stages(args.deterministic)
+    stages = _Run(args.deterministic)
     core, reps, ker = kernel_pipeline(g, cfg, stages)
     return {
         "family": args.family,
@@ -413,11 +366,17 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
     }
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    stages = _Stages(args.deterministic)
+def cmd_bench(args: argparse.Namespace, run: _Run) -> Outcome:
     sizes = _parse_int_list(args.sizes, "size")
     ks = _parse_int_list(args.ks, "k")
-    with stages("bench"):
+    run.options = {
+        "family": args.family,
+        "sizes": sizes,
+        "r": args.r,
+        "ks": ks,
+        "out": args.out,
+    }
+    with run("bench"):
         rows = [_bench_cell(args, size, k) for size in sizes for k in ks]
 
     def cell_text(value: Any) -> str:
@@ -429,22 +388,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lines = [",".join(rows[0])]
     lines.extend(",".join(cell_text(value) for value in row.values()) for row in rows)
     Path(args.out).write_text("\n".join(lines) + "\n")
-    options = {
-        "family": args.family,
-        "sizes": sizes,
-        "r": args.r,
-        "ks": ks,
-        "out": args.out,
-    }
-    result = {"rows": len(rows), "out": args.out}
-    _emit(_report("bench", options, None, stages, result, None))
-    return 0
+    return {"rows": len(rows), "out": args.out}, None
 
 
 def _add_uqw_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--s-max", type=int, default=16, help="deletion budget")
+    # no defaults here: UqwConfig holds them (16 and 4)
     parser.add_argument(
-        "--delta-k", type=int, default=4, help="formula arity of every splitter round"
+        "--s-max", type=int, default=argparse.SUPPRESS, help="deletion budget"
+    )
+    parser.add_argument(
+        "--delta-k",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="formula arity of every splitter round",
     )
 
 
@@ -513,20 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_uqw_flags(p)
 
+    # A problem takes only its flags of _SOLVE_FLAGS; they have no defaults.
     p = sub.add_parser("solve", parents=[common], help="run an exact solver")
     p.add_argument("--graph", required=True)
+    p.add_argument("--problem", required=True, choices=list(_SOLVE_FLAGS))
+    p.add_argument("--r", type=int, default=argparse.SUPPRESS, help="drds only")
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS, help="all but steiner")
     p.add_argument(
-        "--problem", required=True, choices=["drds", "cds", "cds-fpt", "steiner"]
+        "--terminals", default=argparse.SUPPRESS, help="steiner only: comma-separated ids"
     )
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--terminals", default=None, help="comma-separated terminal ids")
     p.add_argument(
         "--K-threshold",
         dest="K_threshold",
         type=int,
-        default=None,
-        help="undominated-size bound that switches cds-fpt to its leaf routine",
+        default=argparse.SUPPRESS,
+        help="cds-fpt only: undominated-size bound that switches to its leaf routine",
     )
     _add_uqw_flags(p)
 
@@ -560,20 +517,25 @@ def _stage_logs() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _stage_logs()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        # looked up per call, not stored in the cached parser, so a command
-        # function replaced on this module takes effect
-        return globals()[f"cmd_{args.subcommand}"](args)
+        args = build_parser().parse_args(argv)
+        run = _Run(args.deterministic)
+        try:
+            # looked up per call, not stored in the cached parser, so a
+            # command function replaced on this module takes effect
+            outcome = globals()[f"cmd_{args.subcommand}"](args, run)
+        except DensityError as exc:
+            outcome = _refusal(args.subcommand, exc), None
     except (InputError, ConfigError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DensityError as exc:
-        # Commands format their own certificates; anything reaching here is a
-        # failure outside a command body.
-        print(f"failure: {exc}", file=sys.stderr)
+    if outcome is None:
+        return 0
+    result, verified = outcome
+    _print_report(args.subcommand, run, result, verified)
+    if "failure" in result or not all((verified or {}).values()):
         return 2
+    return 3 if result.get("solution") == "NONE" else 0
 
 
 if __name__ == "__main__":

@@ -214,11 +214,3 @@ def generate(spec: GenSpec) -> Graph:
     fn, names = _FAMILIES[spec.family]
     values = _require(spec.params, spec.family, *names)
     return fn(*values)
-
-
-def family_parameters(family: str) -> tuple[str, ...]:
-    """Parameter names a family expects, for CLI help and validation."""
-    if family not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
-        raise InputError(f"unknown family {family!r} (known: {known})")
-    return tuple(_FAMILIES[family][1])

@@ -389,15 +389,13 @@ def contract_balls(
     centers: Sequence[int],
     depth: int,
     avoid: frozenset[int] | set[int] = frozenset(),
-    drop_avoid: bool = True,
 ) -> Contraction:
     """Contract the radius-``depth`` balls around ``centers`` in ``G - avoid``.
 
     The balls must be pairwise disjoint; a vertex within ``depth`` of two
     centers raises :class:`InputError` naming the violating pair. Vertices in
     no ball survive as singletons; ``avoid`` vertices are dropped from the
-    minor when ``drop_avoid`` is set and kept as singletons otherwise (they
-    never join a ball either way). Edges of the minor connect two H-vertices
+    minor. Edges of the minor connect two H-vertices
     whenever any original edge runs between their vertex sets.
     """
     cs = sorted(centers)
@@ -418,11 +416,7 @@ def contract_balls(
         a, b, w = clash
         raise InputError(f"balls of centers {a} and {b} overlap at vertex {w}")
 
-    singles = tuple(
-        v
-        for v in range(g.n)
-        if v not in owner and (not drop_avoid or v not in avoid)
-    )
+    singles = tuple(v for v in range(g.n) if v not in owner and v not in avoid)
     h_of: dict[int, int] = {}
     ball_index = {center: i for i, center in enumerate(cs)}
     for v, center in owner.items():

@@ -40,7 +40,7 @@ from .graph import (
     distance_vectors,
     distances_from,
 )
-from .uqw import UqwConfig, uqw_split
+from .uqw import UqwConfig, uqw_split, uqw_verify
 
 _log = logging.getLogger(__name__)
 
@@ -80,13 +80,12 @@ class CoreConfig:
 @dataclass(frozen=True)
 class Removal:
     """A justified removal candidate: ``w`` is the smallest member of a
-    ``bucket`` of at least k + 2 vertices sharing the capped distance
-    ``vector`` to the ``anchors``."""
+    ``bucket`` of at least k + 2 vertices sharing one capped distance vector
+    to the ``anchors``."""
 
     w: int
     bucket: tuple[int, ...]
     anchors: tuple[int, ...]
-    vector: tuple[float, ...]
 
 
 class _SortedZ(list):
@@ -106,8 +105,9 @@ def find_irrelevant_dominatee(
     2r, which come from one capped BFS per anchor (none when S is empty).
     When |S| exceeds 4, the split is re-requested once with the target size
     matched to |S|. Returns None when Z is already at or below ``ell`` or no
-    bucket of k + 2 lookalikes shows up. A split whose spread set is not
-    2r-independent in G - S raises :class:`InternalError`.
+    bucket of k + 2 lookalikes shows up. A split that fails
+    :func:`~quasiwide.check.uqw_verify` at radius 2r raises
+    :class:`InternalError`.
     """
     if isinstance(Z, _SortedZ):
         zs: list[int] = Z
@@ -127,7 +127,7 @@ def find_irrelevant_dominatee(
             m1 = min((k + 2) * (2 * r + 1) ** len(res.S), len(a))
             if m1 != m0:
                 res = uqw_split(g, a, 2 * r, m1, cfg.uqw)
-        if not res.verified:
+        if not uqw_verify(g, res, a, 2 * r):
             raise InternalError(
                 f"splitter returned a set that is not {2 * r}-independent "
                 "outside its deletion set"
@@ -146,7 +146,7 @@ def find_irrelevant_dominatee(
             # vertex id.
             vec = min(qualifying, key=lambda v: qualifying[v][0])
             bucket = tuple(qualifying[vec])
-            return Removal(w=bucket[0], bucket=bucket, anchors=anchors, vector=vec)
+            return Removal(w=bucket[0], bucket=bucket, anchors=anchors)
         if len(a) == len(zs):
             break
         window *= 2

@@ -71,17 +71,13 @@ EDGE_FORMULA = FormulaId(FormulaKind.EDGE, 0, 2)
 
 @dataclass(frozen=True)
 class Delta:
-    """An ordered, duplicate-free formula set; ``max_arity`` bounds its
-    members' arities."""
+    """An ordered, duplicate-free formula set."""
 
     formulas: tuple[FormulaId, ...]
-    max_arity: int
 
     def __post_init__(self) -> None:
         if len(set(self.formulas)) != len(self.formulas):
             raise InputError("duplicate formulas in Delta")
-        if any(f.k > self.max_arity for f in self.formulas):
-            raise InputError("formula arity exceeds declared max_arity")
 
 
 def delta_k(k: int) -> Delta:
@@ -94,7 +90,7 @@ def delta_k(k: int) -> Delta:
     formulas = [EDGE_FORMULA]
     formulas.extend(FormulaId(FormulaKind.PHI, i, k) for i in range(1, k + 1))
     formulas.extend(FormulaId(FormulaKind.PSI, i, k) for i in range(1, k + 1))
-    return Delta(formulas=tuple(formulas), max_arity=max(2, k))
+    return Delta(formulas=tuple(formulas))
 
 
 def eval_formula(g: Graph, f: FormulaId, args: Sequence[int]) -> bool:

@@ -300,7 +300,7 @@ def cds_fpt(
             tree_v = {v for e in edges for v in e} | set(x)
             return set(tree_v) if len(tree_v) <= k else None
 
-        def try_partition(doms: list[int], members: list[list[int]]) -> set[int] | None:
+        def try_partition(doms: list[int]) -> set[int] | None:
             l = len(doms)
             if not x and l == 1:
                 v = (doms[0] & -doms[0]).bit_length() - 1
@@ -350,11 +350,10 @@ def cds_fpt(
             return candidate
 
         doms: list[int] = []
-        members: list[list[int]] = []
 
         def assign(idx: int) -> set[int] | None:
             if idx == len(w_list):
-                return try_partition(doms, members)
+                return try_partition(doms)
             w = w_list[idx]
             w_dom = masks[w]
             for j in range(len(doms)):
@@ -363,18 +362,14 @@ def cds_fpt(
                     continue
                 saved = doms[j]
                 doms[j] = merged
-                members[j].append(w)
                 out = assign(idx + 1)
                 doms[j] = saved
-                members[j].pop()
                 if out is not None:
                     return out
             if len(doms) < budget:
                 doms.append(w_dom)
-                members.append([w])
                 out = assign(idx + 1)
                 doms.pop()
-                members.pop()
                 if out is not None:
                     return out
             return None

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .check import uqw_verify  # re-exported: the split's recheck
 from .errors import ConfigError, DensityError, InputError
-from .graph import Graph, bfs_limited, check_vertices, contract_balls, is_r_independent
+from .graph import Graph, bfs_limited, check_vertices, contract_balls
 from .logic import delta_k, extract_indiscernible
 
 _log = logging.getLogger(__name__)
@@ -71,7 +71,6 @@ class UqwResult:
     S: frozenset[int]
     B: tuple[int, ...]
     rounds: tuple[RoundLog, ...]
-    verified: bool
 
 
 def _high_adjacency(g: Graph, targets: Sequence[int]) -> set[int]:
@@ -180,11 +179,11 @@ def uqw_split(
             break
         # Thin the survivors on a ball-contracted graph so only pairwise
         # distant centers remain, then extract on the rebuilt contraction.
-        con = contract_balls(g, b, i, avoid=frozenset(z), drop_avoid=True)
+        con = contract_balls(g, b, i, avoid=frozenset(z))
         ball_ids = list(range(len(con.centers)))
         chosen = _independent_subsequence(con.graph, ball_ids, m)
         centers = [con.centers[h] for h in chosen]
-        con2 = contract_balls(g, centers, i, avoid=frozenset(z), drop_avoid=True)
+        con2 = contract_balls(g, centers, i, avoid=frozenset(z))
 
         seq = list(range(len(con2.centers)))
         extracted_h = extract_indiscernible(con2.graph, seq, delta, m)
@@ -217,9 +216,7 @@ def uqw_split(
             i + 1, len(seq), len(extracted_h), len(z), len(b), con2.graph.n,
         )
 
-    b = b[:m]
-    verified = is_r_independent(g, b, r, frozenset(z)) if b else True
-    return UqwResult(S=frozenset(z), B=tuple(b), rounds=tuple(logs), verified=verified)
+    return UqwResult(S=frozenset(z), B=tuple(b[:m]), rounds=tuple(logs))
 
 
 __all__ = [

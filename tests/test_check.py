@@ -56,7 +56,7 @@ from quasiwide.generators import GenSpec, generate
 from quasiwide.uqw import UqwResult
 
 solvers.uqw_split = lambda *args: UqwResult(
-    S=frozenset({1}), B=(2, 3, 4), rounds=(), verified=True
+    S=frozenset({1}), B=(2, 3, 4), rounds=()
 )
 try:
     solvers.cds_fpt(generate(GenSpec("star", {"p": 8})), 2, K_threshold=4)

@@ -115,6 +115,21 @@ def test_sieve_density_refusal_report(tmp_path, dense_repro, command):
     assert not kern.exists()
 
 
+
+def test_bench_density_refusal_report(tmp_path, capsys):
+    # main turns every refusal into the same report, bench's too (no input
+    # summary: bench generates its graphs)
+    from quasiwide.cli import main
+
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--family", "random_degenerate", "--sizes", "40", "--c", "2",
+                 "--seed", "1004", "--r", "2", "--ks", "5", "--ell", "16",
+                 "--out", str(out), "--deterministic"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"command", "options", "result", "timings_ms"}
+    assert doc["result"]["message"] == "deletion set would reach 18 > s_max=16 in round 2"
+    assert not out.exists()
+
 def test_cds_fpt_density_refusal_report(tmp_path):
     k16 = tmp_path / "k16.el"
     run("gen", "--family", "clique", "--params", "n=16", "--out", str(k16), check=True)
@@ -285,21 +300,37 @@ def test_deterministic_rerun_is_byte_identical(tmp_path, grid32):
 
 def test_in_process_calls_share_one_parser(monkeypatch, tmp_path, capsys):
     # In-process callers reuse the parser; each call still reaches the
-    # command function the module holds at that moment.
+    # command function the module holds at that moment, and main reports
+    # what it returns.
     from quasiwide import cli
 
     assert cli.build_parser() is cli.build_parser()
     path = tmp_path / "p.el"
     assert cli.main(["gen", "--family", "path", "--params", "n=3", "--out", str(path)]) == 0
     assert path.read_text() == "n=3\n0 1\n1 2\n"
+    capsys.readouterr()
     seen = []
-    monkeypatch.setattr(cli, "cmd_ladder", lambda args: seen.append(args.max_k) or 0)
+
+    def fake_ladder(args, run):
+        seen.append(args.max_k)
+        run.options = {"max_k": args.max_k}
+        return {"ladder_index": 0}, None
+
+    monkeypatch.setattr(cli, "cmd_ladder", fake_ladder)
     assert cli.main(["ladder", "--graph", str(path), "--max-k", "3"]) == 0
     assert seen == [3]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"command": "ladder", "options": {"max_k": 3}, "timings_ms": {},
+                   "result": {"ladder_index": 0}}
     # a usage error on the shared parser leaves it usable
     assert cli.main(["ladder", "--graph", str(path)]) == 1
     assert cli.main(["ladder", "--graph", str(path), "--max-k", "2"]) == 0
     assert seen == [3, 2]
+    # main derives the exit code from what the command returns
+    for outcome, code in [(({}, {"a": True, "b": False}), 2), (({"failure": "x"}, None), 2),
+                          (({"solution": "NONE"}, None), 3), (({}, {"a": True}), 0)]:
+        monkeypatch.setattr(cli, "cmd_ladder", lambda args, run, outcome=outcome: outcome)
+        assert cli.main(["ladder", "--graph", str(path), "--max-k", "2"]) == code
     capsys.readouterr()
 
 
@@ -355,6 +386,79 @@ def test_gen_and_bench_read_seed(tmp_path, capsys):
     assert out.read_text().splitlines()[1].startswith("random_degenerate,12,1,1,")
     capsys.readouterr()
 
+
+
+# Each solve problem with the flags it requires, and a value for every flag
+# of solve that some problem reads.
+_SOLVE_BASES = {
+    "drds": ["--r", "1", "--k", "3"],
+    "cds": ["--k", "3"],
+    "cds-fpt": ["--k", "3"],
+    "steiner": ["--terminals", "0,2"],
+}
+_SOLVE_VALUES = {"--r": "1", "--k": "3", "--terminals": "0,2", "--K-threshold": "5",
+                 "--s-max": "4", "--delta-k": "2"}
+_SOLVE_READS = {"cds-fpt": ("--K-threshold", "--s-max", "--delta-k")}
+
+
+@pytest.fixture()
+def grid33(tmp_path):
+    from quasiwide.cli import main
+
+    path = tmp_path / "g33.el"
+    assert main(["gen", "--family", "grid", "--params", "w=3,h=3", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("problem, flag", [
+    (problem, flag)
+    for problem, base in _SOLVE_BASES.items()
+    for flag in _SOLVE_VALUES
+    if flag not in base and flag not in _SOLVE_READS.get(problem, ())
+])
+def test_solve_refuses_flags_its_problem_does_not_read(capsys, grid33, problem, flag):
+    from quasiwide.cli import main
+
+    argv = ["solve", "--graph", grid33, "--problem", problem, *_SOLVE_BASES[problem]]
+    assert main(argv + [flag, _SOLVE_VALUES[flag]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --problem {problem} does not read {flag}\n"
+    assert captured.out == ""
+
+
+def test_solve_names_the_first_unread_flag(capsys, grid33):
+    from quasiwide.cli import main
+
+    argv = ["solve", "--graph", grid33, "--problem", "drds", "--r", "1", "--k", "3",
+            "--s-max", "-5", "--delta-k", "99"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --problem drds does not read --s-max\n"
+
+
+def test_cds_fpt_reads_its_splitter_flags(capsys, grid33):
+    from quasiwide.cli import main
+
+    argv = ["solve", "--graph", grid33, "--problem", "cds-fpt", "--k", "3",
+            "--s-max", "4", "--delta-k", "2", "--K-threshold", "5", "--deterministic"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] == {"connected_dominating": True}
+    assert main(argv[:-1] + ["--s-max", "-5"]) == 1
+    assert capsys.readouterr().err == "error: s_max must be non-negative, got -5\n"
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("drds", "--r and --k are required for the drds problem"),
+    ("cds", "--k is required for the cds problem"),
+    ("cds-fpt", "--k is required for the cds-fpt problem"),
+    ("steiner", "--terminals is required for the steiner problem"),
+])
+def test_solve_missing_flag_messages(capsys, grid33, problem, message):
+    from quasiwide.cli import main
+
+    argv = ["solve", "--graph", grid33, "--problem", problem]
+    assert main(argv + (["--k", "3"] if problem == "drds" else [])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 def test_pure_import_loads_no_numpy():
     # pure runs' set-up time and memory rest on never importing numpy

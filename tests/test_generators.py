@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiwide.errors import InputError
-from quasiwide.generators import GenSpec, SplitMix64, family_parameters, generate
+from quasiwide.generators import GenSpec, SplitMix64, generate
 from quasiwide.graph import adjacent
 
 
@@ -100,13 +100,6 @@ def test_generate_validates():
         generate(GenSpec("grid", {"w": 4, "h": 3, "extra": 1}))
     with pytest.raises(InputError):
         generate(GenSpec("grid", {"w": 0, "h": 3}))
-
-
-def test_family_parameters():
-    assert family_parameters("grid") == ("w", "h")
-    assert "seed" in family_parameters("random_degenerate")
-    with pytest.raises(InputError):
-        family_parameters("nosuch")
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,7 @@ from quasiwide.logic import (
     ladder_index,
 )
 
-EDGE_ONLY = Delta(formulas=(EDGE_FORMULA,), max_arity=2)
+EDGE_ONLY = Delta(formulas=(EDGE_FORMULA,))
 
 
 def triangle():
@@ -53,9 +53,7 @@ def test_formula_id_validation():
 def test_delta_k_contents():
     d = delta_k(2)
     assert len(d.formulas) == 5
-    assert d.max_arity == 2
     assert delta_k(0).formulas == (EDGE_FORMULA,)
-    assert delta_k(3).max_arity == 3
     with pytest.raises(InputError):
         delta_k(-1)
 

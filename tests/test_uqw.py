@@ -19,7 +19,7 @@ def test_edgeless_needs_no_deletions():
     res = uqw_split(g, list(range(10)), 2, 5)
     assert sorted(res.S) == []
     assert res.B == (0, 1, 2, 3, 4)
-    assert res.verified
+    assert uqw_verify(g, res, list(range(10)), 2)
     assert len(res.rounds) == 1
 
 
@@ -28,7 +28,6 @@ def test_star_center_is_deleted():
     res = uqw_split(g, list(range(g.n)), 2, 4)
     assert sorted(res.S) == [0]
     assert res.B == (1, 2, 3, 4)
-    assert res.verified
     assert uqw_verify(g, res, list(range(g.n)), 2)
 
 
@@ -37,7 +36,7 @@ def test_disjoint_stars_one_pick_per_component():
     res = uqw_split(g, list(range(g.n)), 2, 6)
     assert res.S == frozenset()
     assert res.B == (0, 6, 16)
-    assert res.verified
+    assert uqw_verify(g, res, list(range(g.n)), 2)
     # components are {0..5}, {6..11}, {12..17}: one pick in each
     assert sorted(v // 6 for v in res.B) == [0, 1, 2]
 
@@ -71,7 +70,6 @@ def test_grid_round_log_and_verify():
     res = uqw_split(g, list(range(g.n)), 3, 8, UqwConfig(delta_k=2))
     assert res.S == frozenset()
     assert len(res.B) == 6
-    assert res.verified
     assert uqw_verify(g, res, list(range(g.n)), 3)
     assert [rl.round for rl in res.rounds] == [1, 2]
     first, second = res.rounds
@@ -129,11 +127,11 @@ def test_uqw_verify_rejects_bad_results():
     good = uqw_split(g, list(range(6)), 2, 2)
     assert uqw_verify(g, good, list(range(6)), 2)
     # adjacent pair is not 2-independent
-    bad = UqwResult(S=frozenset(), B=(0, 1), rounds=(), verified=False)
+    bad = UqwResult(S=frozenset(), B=(0, 1), rounds=())
     assert not uqw_verify(g, bad, list(range(6)), 2)
     # B must stay inside A
-    outside = UqwResult(S=frozenset(), B=(0, 5), rounds=(), verified=False)
+    outside = UqwResult(S=frozenset(), B=(0, 5), rounds=())
     assert not uqw_verify(g, outside, [0, 1, 2], 2)
     # B must avoid S
-    overlap = UqwResult(S=frozenset({0}), B=(0, 5), rounds=(), verified=False)
+    overlap = UqwResult(S=frozenset({0}), B=(0, 5), rounds=())
     assert not uqw_verify(g, overlap, list(range(6)), 2)
