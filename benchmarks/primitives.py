@@ -14,6 +14,15 @@ repeat and the median time per call over the repeats, in µs:
 
 The inputs are a 40×40 grid and a 66-vertex ``random_degenerate`` graph.
 
+It also times ``pure.tree_round`` on the tail-free rounds of the core
+sieve: one batch-mode ``domination_core`` on the 40×40 grid at acceptance
+criterion 5's settings (r = 1, k = 8, ell = 120, delta_k = 2) records them
+once, in call order, over its consecutive windows. They are then replayed
+on one shared graph, where each round resumes the tree of the previous
+round of its shape, and on a fresh graph per call, where every round
+builds its tree anew. Both graphs share the grid's neighbour bitsets, and
+each repeat starts from a new shared graph.
+
 Usage:
     PYTHONPATH=src python3 benchmarks/primitives.py --repeats 7
 """
@@ -25,9 +34,12 @@ import statistics
 import sys
 import time
 
+import quasiwide._kernels
+from quasiwide._kernels import pure
 from quasiwide.generators import GenSpec, generate
-from quasiwide.graph import bfs_limited, build_graph, is_r_independent
-from quasiwide.uqw import _prune_spread
+from quasiwide.graph import Graph, adjacency_bitsets, bfs_limited, build_graph, is_r_independent
+from quasiwide.kernelize import CoreConfig, domination_core
+from quasiwide.uqw import UqwConfig, _prune_spread
 
 GRAPHS = (
     ("grid 40x40", GenSpec("grid", {"w": 40, "h": 40})),
@@ -54,6 +66,47 @@ def benches(g):
     ]
 
 
+def sieve_rounds(g):
+    """The tail-free rounds that a batch-mode sieve on ``g`` runs, as
+    ``(seq, kind, i_split, arity)`` in call order."""
+    rounds = []
+    real = quasiwide._kernels.tree_round
+
+    def record(h, seq, kind, i_split, arity, tail):
+        if h is g and not tail:
+            rounds.append((tuple(seq), kind, i_split, arity))
+        return real(h, seq, kind, i_split, arity, tail)
+
+    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
+    quasiwide._kernels.tree_round = record
+    try:
+        domination_core(g, cfg)
+    finally:
+        quasiwide._kernels.tree_round = real
+    return rounds
+
+
+def round_benches(g, rounds):
+    """The recorded rounds on one shared graph and on a fresh graph per
+    call."""
+    bits = adjacency_bitsets(g)
+
+    def shared():
+        h = Graph(g.n, g.adj, _bits=bits)
+        return [pure.tree_round(h, seq, kind, i, arity, ()) for seq, kind, i, arity in rounds]
+
+    def fresh():
+        return [
+            pure.tree_round(Graph(g.n, g.adj, _bits=bits), seq, kind, i, arity, ())
+            for seq, kind, i, arity in rounds
+        ]
+
+    return [
+        ("tree_round tail-free, shared", len(rounds), shared),
+        ("tree_round tail-free, fresh", len(rounds), fresh),
+    ]
+
+
 def median_us(fn, calls: int, repeats: int) -> float:
     samples = []
     for _ in range(repeats):
@@ -76,6 +129,10 @@ def main(argv=None) -> int:
         for name, calls, fn in benches(g):
             us = median_us(fn, calls, args.repeats)
             print(f"{label:<24} {name:<32} {calls:>6} {us:>10.2f}")
+    g = generate(GRAPHS[0][1])
+    for name, calls, fn in round_benches(g, sieve_rounds(g)):
+        us = median_us(fn, calls, args.repeats)
+        print(f"{'grid 40x40 sieve':<24} {name:<32} {calls:>6} {us:>10.2f}")
     return 0
 
 

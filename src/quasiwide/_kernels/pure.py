@@ -40,6 +40,21 @@ both slots positive (phi_i, i >= 2) stay on the descent: their trees are
 shallow, and enumerating two-hop neighbors costs more than it saves. Both
 shortcuts give the tree, depths and tie rule of the descent they replace.
 
+Tail-free rounds with two free slots resume. The core sieve splits windows
+that overlap almost entirely, so such a round stores its tree on ``g``
+(``Graph._rounds``), keyed by (kind, i_split, arity). The tree maps each
+label to its node in insertion order, which gives both the sequence it was
+built from and the order to undo in, and it keeps the earlier deepest node
+each time a label went deeper than all before it. The next call of that
+shape on ``g`` finds the longest common prefix with the stored sequence.
+When the prefix is at least as long as the part past it, the insertions
+past it are undone, newest first; otherwise the round starts a fresh tree,
+since undoing would cost more than it keeps. Either way only the rest of
+the sequence is inserted. Insertion is causal, the tree after seq[:j]
+depends only on seq[:j], so the result equals that of a fresh round. A call
+that raises drops the stored tree of its shape. Rounds with a tail or with
+three or more free slots build a fresh tree each call.
+
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
 """
@@ -88,12 +103,17 @@ def eval_formula(
 
 
 class _Node:
-    __slots__ = ("label", "parent", "depth", "children")
+    """A descent node. It names its parent by label (-1 for the root), so
+    a tree holds no reference cycle and is freed as soon as it is dropped,
+    even after it outlived its round in a graph's cache."""
 
-    def __init__(self, label: int, parent: "_Node | None", depth: int) -> None:
+    __slots__ = ("label", "up", "depth", "sig", "children")
+
+    def __init__(self, label: int, up: int, depth: int, sig: int) -> None:
         self.label = label
-        self.parent = parent
+        self.up = up
         self.depth = depth
+        self.sig = sig  # the key under which the parent holds this node
         self.children: dict[int, _Node] = {}
 
 
@@ -112,7 +132,11 @@ def tree_round(
     signature packs the evaluations over the tuples that end at its parent's
     label, so descent never re-evaluates earlier prefixes; nodes shallower
     than q-1 have no tuples to evaluate and chain. ``seq`` must not repeat a
-    vertex.
+    vertex; with two or more free slots a repeat raises ValueError.
+
+    A tail-free round with two free slots resumes the tree that the last
+    call of its shape on ``g`` left; the result is a fresh list, equal to
+    the one a fresh graph gives.
     """
     tail = tuple(tail)
     q = arity - len(tail)
@@ -128,7 +152,7 @@ def tree_round(
         if t == 0:
             return _partition_round(seq, [(bits[z] >> tail[0]) & 1 for z in seq])
         # default bit 0: z deviates at its neighbors
-        return _one_bit_runs_round(seq, g.adj.__getitem__)
+        return _resume(g, (kind, i_split, arity), seq, lambda: _Runs(g.adj.__getitem__))
     # positive[p]: argument position p is a positive literal
     if kind == PHI:
         positive = [p < i_split for p in range(arity)]
@@ -141,56 +165,146 @@ def tree_round(
         if positive[0]:
             return _partition_round(seq, [base & bits[z] != 0 for z in seq])
         return _partition_round(seq, [base & ~bits[z] != 0 for z in seq])
-    z_positive = positive[t]
-    last_positive = positive[t - 1]
-    if t == 1 and not last_positive:
-        return _one_bit_runs_round(seq, _psi_deviants(g.adj, bits, base, z_positive))
-    if t == 1 and not z_positive:
-        return _one_bit_runs_round(seq, _phi_deviants(g.adj, bits, base))
-    # slots: combination positions left per tuple once z and the parent's
-    # label are folded in; nodes shallower than t just chain
-    slots = t - 1
-    root = _Node(-1, None, 0)
-    best = root
-    path: list[int] = []
-    for z in seq:
-        zmask = base & bits[z] if z_positive else base & ~bits[z]
-        sig = 0
-        node = root
-        depth = 0
-        if slots:
-            del path[:]
-        while True:
-            child = node.children.get(sig)
-            if child is None:
-                child = _Node(z, node, depth + 1)
-                node.children[sig] = child
-                if child.depth > best.depth:
-                    best = child
+
+    def new_tree() -> "_Runs | _Descent":
+        # t = 1 with slot 0 negative, or with z negative: the run rules
+        if t == 1 and not positive[0]:
+            return _Runs(_psi_deviants(g.adj, bits, base, positive[1]))
+        if t == 1 and not positive[1]:
+            return _Runs(*_phi_deviants(g.adj, bits, base))
+        return _Descent(bits, positive, base, t)
+
+    if tail or t > 1:
+        tree = new_tree()
+        tree.extend(seq)
+        return tree.branch()
+    return _resume(g, (kind, i_split, arity), seq, new_tree)
+
+
+def _resume(
+    g: Graph,
+    key: tuple[int, int, int],
+    seq: Sequence[int],
+    new_tree: "Callable[[], _Runs | _Descent]",
+) -> list[int]:
+    """Grow the round of shape ``key`` on ``g`` from the tree its last call
+    left: keep the common prefix with that call's sequence when it is at
+    least as long as the part past it, else start from ``new_tree()``. The
+    stored tree leaves the cache while it grows, so a call that raises
+    drops it."""
+    trees = g._rounds
+    if trees is None:
+        trees = g._rounds = {}
+    tree = trees.pop(key, None)
+    keep = 0
+    if tree is not None:
+        for x, y in zip(tree.placed, seq):
+            if x != y:
                 break
-            node = child
-            depth += 1
-            last = node.label
+            keep += 1
+        if 2 * keep >= len(tree.placed):
+            tree.truncate(keep)
+        else:
+            tree, keep = None, 0
+    if tree is None:
+        tree = new_tree()
+    tree.extend(seq[keep:])
+    trees[key] = tree
+    return tree.branch()
+
+
+class _Descent:
+    """A round's tree grown node by node: each candidate descends from the
+    root along the children its signatures pick.
+
+    ``placed`` maps each label inserted so far to its node, in insertion
+    order, and ``bests`` stacks the deepest node as it was before each
+    insertion that went deeper than every node before it: that is all
+    :meth:`truncate` needs to take insertions back.
+    """
+
+    __slots__ = ("bits", "positive", "base", "t", "root", "best", "bests", "placed")
+
+    def __init__(self, bits: list[int], positive: list[bool], base: int, t: int) -> None:
+        self.bits = bits
+        self.positive = positive
+        self.base = base
+        self.t = t
+        self.root = _Node(-1, -1, 0, 0)
+        self.best = self.root
+        self.bests: list[_Node] = []
+        self.placed: dict[int, _Node] = {}
+
+    def extend(self, seq: Iterable[int]) -> None:
+        """Insert ``seq`` after the labels already in the tree; a label
+        already in it raises ValueError and leaves the tree unusable."""
+        bits, positive, base, t = self.bits, self.positive, self.base, self.t
+        z_positive = positive[t]
+        last_positive = positive[t - 1]
+        # slots: combination positions left per tuple once z and the
+        # parent's label are folded in; nodes shallower than t just chain
+        slots = t - 1
+        root, best, bests, placed = self.root, self.best, self.bests, self.placed
+        path: list[int] = []
+        for z in seq:
+            if z in placed:
+                raise ValueError(f"vertex {z} repeats in the sequence")
+            zmask = base & bits[z] if z_positive else base & ~bits[z]
+            sig = 0
+            node = root
+            depth = 0
             if slots:
-                path.append(last)
-            if depth < t:
-                sig = 0
-                continue
-            lb = bits[last]
-            mask = zmask & lb if last_positive else zmask & ~lb
-            if not mask:
-                sig = 0
-            elif slots == 0:
-                sig = 1
-            else:
-                sig = _combination_signature(mask, path, depth - 1, slots, positive, bits)
-    branch: list[int] = []
-    node = best
-    while node is not root:
-        branch.append(node.label)
-        node = node.parent  # type: ignore[assignment]
-    branch.reverse()
-    return branch
+                del path[:]
+            while True:
+                child = node.children.get(sig)
+                if child is None:
+                    child = _Node(z, node.label, depth + 1, sig)
+                    node.children[sig] = child
+                    placed[z] = child
+                    if child.depth > best.depth:
+                        bests.append(best)
+                        best = child
+                    break
+                node = child
+                depth += 1
+                last = node.label
+                if slots:
+                    path.append(last)
+                if depth < t:
+                    sig = 0
+                    continue
+                lb = bits[last]
+                mask = zmask & lb if last_positive else zmask & ~lb
+                if not mask:
+                    sig = 0
+                elif slots == 0:
+                    sig = 1
+                else:
+                    sig = _combination_signature(mask, path, depth - 1, slots, positive, bits)
+        self.best = best
+
+    def truncate(self, keep: int) -> None:
+        """Take back the insertions after the first ``keep``, newest first."""
+        placed, best, bests = self.placed, self.best, self.bests
+        for _ in range(len(placed) - keep):
+            node = placed.popitem()[1]
+            del self._parent(node).children[node.sig]
+            if node is best:
+                best = bests.pop()
+        self.best = best
+
+    def branch(self) -> list[int]:
+        """The labels from the root's child to the deepest node."""
+        branch: list[int] = []
+        node = self.best
+        while node is not self.root:
+            branch.append(node.label)
+            node = self._parent(node)
+        branch.reverse()
+        return branch
+
+    def _parent(self, node: _Node) -> _Node:
+        return self.placed[node.up] if node.up >= 0 else self.root
 
 
 def _partition_round(seq: Sequence[int], sigs: Sequence[int]) -> list[int]:
@@ -207,14 +321,13 @@ def _partition_round(seq: Sequence[int], sigs: Sequence[int]) -> list[int]:
     return best
 
 
-def _one_bit_runs_round(
-    seq: Sequence[int], deviants: Callable[[int], Iterable[int] | None]
-) -> list[int]:
-    """A round with one signature bit per node (t = 1). Below the root's
-    single child each node has a default bit that does not depend on z, and
-    ``deviants(z)`` names the labels already in the tree where z's bit
-    differs from it (it may name others too; they are skipped), or is None
-    when z deviates at every node.
+class _Runs:
+    """The tree of a round with one signature bit per node (t = 1). Below
+    the root's single child each node has a default bit that does not depend
+    on z, and ``deviants(z)`` names the labels already in the tree where z's
+    bit differs from it (it may name others too; they are skipped), or is
+    None when z deviates at every node. ``forget(z)``, when given, takes
+    back what ``deviants(z)`` recorded about z.
 
     The tree is kept as runs, maximal chains of default children:
     ``runs[i]`` holds the labels in order, ``start[i]`` the depth of its
@@ -222,69 +335,125 @@ def _one_bit_runs_round(
     (None under the root). A candidate walks a run until its first
     deviation, so it crosses each run with one lookup per deviant label
     found once per candidate instead of one step per node.
+
+    ``placed`` maps each label inserted so far to its (run, index) node, in
+    insertion order, and ``bests`` stacks the deepest node as it was before
+    each insertion that went deeper than every node before it: that is all
+    :meth:`truncate` needs to take insertions back.
     """
-    runs: list[list[int]] = []
-    start: list[int] = []
-    hang: list[tuple[int, int] | None] = []
-    where: dict[int, tuple[int, int]] = {}  # label -> (run, index)
-    off_child: dict[int, int] = {}  # label -> run hanging off its other child
-    best: tuple[int, int] | None = None
-    best_depth = 0
-    for z in seq:
-        if z in where:
-            raise ValueError(f"vertex {z} repeats in the sequence")
-        # first[run]: smallest index in that run where z deviates
-        devs = deviants(z)
-        if devs is None:
-            first = dict.fromkeys(range(len(runs)), 0)
-        else:
-            first = {}
-            for u in devs:
-                at = where.get(u)
-                if at is not None and at[1] < first.get(at[0], at[1] + 1):
-                    first[at[0]] = at[1]
-        run: int | None = 0 if runs else None
-        parent: tuple[int, int] | None = None
-        while run is not None:
-            j = first.get(run)
-            if j is None:
-                break
-            parent = (run, j)
-            run = off_child.get(runs[run][j])
-        if run is not None:
-            # no deviation in this run: z extends it
-            j = len(runs[run])
-            runs[run].append(z)
-            depth = start[run] + j
-        else:
-            # a new run, under the root or as the other child of parent
-            run, j = len(runs), 0
-            depth = start[parent[0]] + parent[1] + 1 if parent else 1
-            runs.append([z])
-            start.append(depth)
-            hang.append(parent)
-            if parent:
-                off_child[runs[parent[0]][parent[1]]] = run
-        where[z] = (run, j)
-        if depth > best_depth:
-            best, best_depth = (run, j), depth
-    branch: list[int] = []
-    while best is not None:
-        run, j = best
-        branch.extend(reversed(runs[run][: j + 1]))
-        best = hang[run]
-    branch.reverse()
-    return branch
+
+    __slots__ = (
+        "deviants", "forget", "runs", "start", "hang", "placed", "off_child",
+        "best", "bests",
+    )
+
+    def __init__(
+        self,
+        deviants: Callable[[int], Iterable[int] | None],
+        forget: Callable[[int], None] | None = None,
+    ) -> None:
+        self.deviants = deviants
+        self.forget = forget
+        self.runs: list[list[int]] = []
+        self.start: list[int] = []
+        self.hang: list[tuple[int, int] | None] = []
+        self.placed: dict[int, tuple[int, int]] = {}
+        self.off_child: dict[int, int] = {}  # label -> run hanging off its other child
+        self.best: tuple[int, int] | None = None
+        self.bests: list[tuple[int, int] | None] = []
+
+    def extend(self, seq: Iterable[int]) -> None:
+        """Insert ``seq`` after the labels already in the tree; a label
+        already in it raises ValueError and leaves the tree unusable."""
+        runs, start, hang = self.runs, self.start, self.hang
+        placed, off_child, deviants = self.placed, self.off_child, self.deviants
+        best, bests = self.best, self.bests
+        best_depth = start[best[0]] + best[1] if best else 0
+        for z in seq:
+            if z in placed:
+                raise ValueError(f"vertex {z} repeats in the sequence")
+            # first[run]: smallest index in that run where z deviates
+            devs = deviants(z)
+            if devs is None:
+                first = dict.fromkeys(range(len(runs)), 0)
+            else:
+                first = {}
+                for u in devs:
+                    at = placed.get(u)
+                    if at is not None and at[1] < first.get(at[0], at[1] + 1):
+                        first[at[0]] = at[1]
+            run: int | None = 0 if runs else None
+            parent: tuple[int, int] | None = None
+            while run is not None:
+                j = first.get(run)
+                if j is None:
+                    break
+                parent = (run, j)
+                run = off_child.get(runs[run][j])
+            if run is not None:
+                # no deviation in this run: z extends it
+                j = len(runs[run])
+                runs[run].append(z)
+                depth = start[run] + j
+            else:
+                # a new run, under the root or as the other child of parent
+                run, j = len(runs), 0
+                depth = start[parent[0]] + parent[1] + 1 if parent else 1
+                runs.append([z])
+                start.append(depth)
+                hang.append(parent)
+                if parent:
+                    off_child[runs[parent[0]][parent[1]]] = run
+            at = placed[z] = (run, j)
+            if depth > best_depth:
+                bests.append(best)
+                best, best_depth = at, depth
+        self.best = best
+
+    def truncate(self, keep: int) -> None:
+        """Take back the insertions after the first ``keep``, newest first.
+        A label at index 0 of its run heads the newest run left."""
+        runs, hang, off_child, placed = self.runs, self.hang, self.off_child, self.placed
+        forget, best, bests = self.forget, self.best, self.bests
+        for _ in range(len(placed) - keep):
+            z, at = placed.popitem()
+            if at == best:
+                best = bests.pop()
+            run, j = at
+            if j:
+                runs[run].pop()
+            else:
+                runs.pop()
+                self.start.pop()
+                parent = hang.pop()
+                if parent:
+                    del off_child[runs[parent[0]][parent[1]]]
+            if forget is not None:
+                forget(z)
+        self.best = best
+
+    def branch(self) -> list[int]:
+        """The labels from the root's child to the deepest node."""
+        runs, hang = self.runs, self.hang
+        branch: list[int] = []
+        at = self.best
+        while at is not None:
+            run, j = at
+            branch.extend(reversed(runs[run][: j + 1]))
+            at = hang[run]
+        branch.reverse()
+        return branch
 
 
 def _phi_deviants(
     adj: Sequence[Sequence[int]], bits: list[int], base: int
-) -> Callable[[int], list[int]]:
+) -> tuple[Callable[[int], list[int]], Callable[[int], None]]:
     """Slot 0 positive, z negative: a label l with A = base & N(l) has
     default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
     Labels with A non-empty are indexed by the lowest vertex of A, which is
-    a neighbor of every z that deviates there. Each call indexes z after
-    finding its deviations."""
+    a neighbor of every z that deviates there. Each call of ``deviants``
+    indexes z after finding its deviations; ``forget`` takes the newest
+    entry of z back."""
     by_low: dict[int, list[tuple[int, int]]] = {}
 
     def deviants(z: int) -> list[int]:
@@ -295,7 +464,12 @@ def _phi_deviants(
             by_low.setdefault((a & -a).bit_length() - 1, []).append((z, a))
         return out
 
-    return deviants
+    def forget(z: int) -> None:
+        a = base & bits[z]
+        if a:
+            by_low[(a & -a).bit_length() - 1].pop()
+
+    return deviants, forget
 
 
 def _psi_deviants(

@@ -43,7 +43,8 @@ class Graph:
     ``v`` that appear before it there (at most ``c`` of them) and ``c`` is
     the degeneracy; one peel computes all three the first time any of them
     is read. Treat instances as frozen; the private fields only cache
-    derived arrays.
+    derived arrays and, in ``_rounds``, the trees of the type-tree rounds
+    that ``_kernels.pure`` resumes from one call to the next.
     """
 
     n: int
@@ -51,6 +52,7 @@ class Graph:
     _peel: tuple | None = field(default=None, repr=False, compare=False)
     _bits: list[int] | None = field(default=None, repr=False, compare=False)
     _csr: tuple | None = field(default=None, repr=False, compare=False)
+    _rounds: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -154,8 +156,10 @@ def _check_vertex(g: Graph, v: int) -> None:
 def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
     """Raise :class:`InputError` naming the first of ``vertices`` that is
     not a vertex of ``g``."""
+    n = g.n
     for v in vertices:
-        _check_vertex(g, v)
+        if not (0 <= v < n):
+            raise InputError(f"vertex {v} outside 0..{n - 1}")
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:

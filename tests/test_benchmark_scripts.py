@@ -1,0 +1,24 @@
+"""Smoke tests for the timing scripts under ``benchmarks/``: they run to the
+end and print every case, so a change to the code they call cannot leave
+them broken unnoticed."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def test_primitives_script_runs_every_case():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "primitives.py"), "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 18
+    shared, fresh = rows[-2:]
+    assert "tree_round tail-free, shared" in shared
+    assert "tree_round tail-free, fresh" in fresh
+    # both replay the same recorded rounds
+    assert shared.split()[-2] == fresh.split()[-2] != "0"

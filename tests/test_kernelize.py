@@ -12,11 +12,14 @@ import random
 
 import pytest
 
+from quasiwide import _kernels
 from quasiwide import kernelize as kernelize_module
 from quasiwide.check import recheck_core
 from quasiwide.errors import ConfigError, InputError, InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import (
+    Graph,
+    adjacency_bitsets,
     build_graph,
     distance_vector,
     distance_vectors,
@@ -31,6 +34,7 @@ from quasiwide.kernelize import (
     reduce_dominators,
 )
 from quasiwide.solvers import exact_drds
+from quasiwide.uqw import UqwConfig
 
 
 def star(p):
@@ -199,6 +203,25 @@ def test_sieve_rejects_a_dependent_spread_set(monkeypatch):
     g = generate(GenSpec("grid", {"w": 8, "h": 8}))
     with pytest.raises(InternalError):
         find_irrelevant_dominatee(g, range(g.n), CoreConfig(r=1, k=1, ell=8))
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_sieve_resumed_rounds_match_fresh_rounds(monkeypatch, batch):
+    # criterion-5 settings at k = 8: consecutive windows overlap, so the
+    # tail-free rounds resume on the shared graph
+    g = generate(GenSpec("grid", {"w": 40, "h": 16}))
+    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
+    resumed = domination_core(g, cfg, batch=batch)
+    assert g._rounds
+    real = _kernels.tree_round
+
+    def on_a_fresh_copy(h, *args):
+        return real(Graph(h.n, h.adj, _bits=adjacency_bitsets(h)), *args)
+
+    monkeypatch.setattr(_kernels, "tree_round", on_a_fresh_copy)
+    fresh = domination_core(Graph(g.n, g.adj), cfg, batch=batch)
+    assert fresh.Z == resumed.Z
+    assert fresh.removal_log == resumed.removal_log
 
 
 def _star_core():

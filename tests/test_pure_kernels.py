@@ -5,6 +5,8 @@ of evaluating each tuple on its own. ``reference_tree_round`` below is the
 per-tuple insertion loop it replaced, with the witness scan
 ``logic._eval_reference`` as its evaluator, so branches are checked against
 an implementation that shares no bitset code with the backend.
+Tail-free rounds that resume the tree of the previous call on the same
+graph are checked against both the reference and a fresh graph.
 ``pure.nr_masks`` is checked against ``graph.bfs_limited``.
 """
 
@@ -12,11 +14,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_graphs import seeded_graphs
 from quasiwide._kernels import pure
 from quasiwide.generators import GenSpec, generate
-from quasiwide.graph import bfs_limited, build_graph
+from quasiwide.graph import Graph, bfs_limited, build_graph
 from quasiwide.logic import EDGE_FORMULA, FormulaId, FormulaKind, _eval_reference
 
 GRAPHS = seeded_graphs()
@@ -242,6 +246,57 @@ def test_one_free_slot_tie_goes_to_the_class_completed_first(seq, want):
     # phi with i_split 1: some witness adjacent to z and not to 0
     got = pure.tree_round(g, seq, 1, 1, 2, (0,))
     assert got == reference_tree_round(g, seq, 1, 1, 2, (0,))
+
+
+# How the next sequence of a resumed run derives from the current one and
+# the vertices outside it (``others``, in permutation order).
+_DERIVE = {
+    "identical": lambda cur, others, j, m: cur,
+    "extended": lambda cur, others, j, m: cur + others[:m],
+    "truncated": lambda cur, others, j, m: cur[:j],
+    "suffix replaced": lambda cur, others, j, m: cur[:j] + others[:m] + cur[j + 1 :],
+    "disjoint": lambda cur, others, j, m: others[:m],
+    "empty": lambda cur, others, j, m: [],
+}
+_STEPS = st.tuples(
+    st.sampled_from([*_DERIVE, "repeated"]), st.integers(0, 12), st.integers(0, 6)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    index=st.integers(0, len(GRAPHS) - 1),
+    shuffle=st.randoms(use_true_random=False),
+    first=st.integers(0, 12),
+    steps=st.lists(_STEPS, min_size=1, max_size=6),
+)
+def test_tail_free_rounds_resume_on_a_shared_graph(index, shuffle, first, steps):
+    g = Graph(GRAPHS[index].n, GRAPHS[index].adj)
+    perm = list(range(g.n))
+    shuffle.shuffle(perm)
+    # sequences draw on at most 20 vertices, which bounds the reference's
+    # tuple count at arity 4
+    del perm[20:]
+    cur = perm[:first]
+    shapes = list(formulas(4))
+    for op, j, m in [("identical", 0, 0), *steps, ("identical", 0, 0)]:
+        others = [v for v in perm if v not in cur]
+        if op == "repeated":
+            # inserts past the common prefix, then fails; the next call,
+            # with the sequence up to the repeat, must not resume from
+            # what this one left
+            cur = cur[:j] + others[:m]
+            bad = cur + cur[:1] if cur else [perm[0], perm[0]]
+            for shape in shapes:
+                with pytest.raises(ValueError):
+                    pure.tree_round(g, bad, *shape, ())
+        else:
+            cur = _DERIVE[op](cur, others, j, m)
+        for shape in shapes:
+            got = pure.tree_round(g, cur, *shape, ())
+            assert got == pure.tree_round(Graph(g.n, g.adj), cur, *shape, ()), (op, shape)
+            assert got == reference_tree_round(g, cur, *shape, ()), (op, shape)
+    assert g._rounds
 
 
 def _disconnected():
