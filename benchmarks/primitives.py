@@ -14,6 +14,10 @@ repeat and the median time per call over the repeats, in µs:
 
 The inputs are a 40×40 grid and a 66-vertex ``random_degenerate`` graph.
 
+It times ``build_kernel`` on the 9×9 grid at r = 2, k = 2, ell = 16 (the
+settings of the r = 2 grids in the ``solver-mix`` workload), from a core
+and representatives computed once, and prints |V(H)| in the row's name.
+
 It also times ``pure.tree_round`` on the tail-free rounds of the core
 sieve: one batch-mode ``domination_core`` on the 40×40 grid at acceptance
 criterion 5's settings (r = 1, k = 8, ell = 120, delta_k = 2) records them
@@ -38,7 +42,7 @@ import quasiwide._kernels
 from quasiwide._kernels import pure
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import Graph, adjacency_bitsets, bfs_limited, build_graph, is_r_independent
-from quasiwide.kernelize import CoreConfig, domination_core
+from quasiwide.kernelize import CoreConfig, build_kernel, domination_core, reduce_dominators
 from quasiwide.uqw import UqwConfig, _prune_spread
 
 GRAPHS = (
@@ -64,6 +68,17 @@ def benches(g):
         ("build_graph", 1, lambda: build_graph(g.n, edges)),
         ("build_graph + read c", 1, lambda: build_graph(g.n, edges).c),
     ]
+
+
+def kernel_bench():
+    """(name, calls per repeat, function) for ``build_kernel`` on the 9×9
+    grid at r = 2."""
+    g = generate(GenSpec("grid", {"w": 9, "h": 9}))
+    r, k = 2, 2
+    z = domination_core(g, CoreConfig(r=r, k=k, ell=16)).Z
+    reps = reduce_dominators(g, z, r)
+    size = build_kernel(g, z, reps, r, k).graph.n
+    return f"build_kernel |V(H)|={size}", 1, lambda: build_kernel(g, z, reps, r, k)
 
 
 def sieve_rounds(g):
@@ -129,6 +144,9 @@ def main(argv=None) -> int:
         for name, calls, fn in benches(g):
             us = median_us(fn, calls, args.repeats)
             print(f"{label:<24} {name:<32} {calls:>6} {us:>10.2f}")
+    name, calls, fn = kernel_bench()
+    us = median_us(fn, calls, args.repeats)
+    print(f"{'grid 9x9 r=2':<24} {name:<32} {calls:>6} {us:>10.2f}")
     g = generate(GRAPHS[0][1])
     for name, calls, fn in round_benches(g, sieve_rounds(g)):
         us = median_us(fn, calls, args.repeats)

@@ -13,9 +13,10 @@ The pipeline shrinks an instance (G, r, k) in three stages:
 2. :func:`reduce_dominators` groups all vertices of G by which part of Z they
    r-dominate and keeps one representative per class.
 3. :func:`build_kernel` assembles a new graph H from copies of Z and the
-   representatives, fresh shortest paths realizing each representative's
-   projection distances, and a gadget forcing one extra dominator, so that
-   G has a distance-r dominating set of size k iff H has one of size k + 1.
+   representatives, one shortest path of G per (representative, projection
+   member) pair, whose inner vertices are shared between pairs and numbered
+   after the copies, and a gadget forcing one extra dominator, so that G
+   has a distance-r dominating set of size k iff H has one of size k + 1.
 
 :func:`kernel_pipeline` runs the three in order.
 
@@ -246,7 +247,10 @@ def reduce_dominators(g: Graph, Z: Iterable[int], r: int) -> Representatives:
 class KernelInstance:
     """The built kernel: graph H, the lifted budget, id maps for the copied
     vertices, the gadget ids, and the result of re-verifying projections
-    inside H."""
+    inside H.
+
+    ``p_ids`` maps each path vertex of G outside Z ∪ Y to its one H id, and
+    ``path_internals`` lists those H ids in increasing order."""
 
     graph: Graph
     k_new: int
@@ -255,12 +259,16 @@ class KernelInstance:
     gadget_v: int
     gadget_v_prime: int
     gadget_internals: tuple[int, ...]
-    path_internals: tuple[int, ...]
+    p_ids: Mapping[int, int]
     projection_ok: bool
 
     @property
     def gadget_ids(self) -> tuple[int, ...]:
         return (self.gadget_v, self.gadget_v_prime) + self.gadget_internals
+
+    @property
+    def path_internals(self) -> tuple[int, ...]:
+        return tuple(sorted(self.p_ids.values()))
 
 
 def _chains_to_graph(n: int, chains: Iterable[tuple[int, ...]]) -> Graph:
@@ -273,16 +281,19 @@ def _chains_to_graph(n: int, chains: Iterable[tuple[int, ...]]) -> Graph:
 def build_kernel(
     g: Graph, Z: Iterable[int], reps: Representatives, r: int, k: int
 ) -> KernelInstance:
-    """Assemble H from Z- and Y-copies, fresh projection paths, and the
-    forcing gadget.
+    """Assemble H from Z- and Y-copies, one shortest path of G per
+    projection pair, and the forcing gadget.
 
     Copies of Z and Y come first (ascending original id). Each (y, z) pair
-    with z in y's projection gets a fresh internal path of length exactly
-    dist_G(y, z); a distance above r means the input projection was corrupt
-    (:class:`InternalError`). The gadget vertex v grows a fresh path of
-    length exactly r to every non-Z vertex of H and to its companion v',
-    forcing one dominator of its own while reaching no Z-copy, hence
-    ``k_new = k + 1``.
+    with z in y's projection is realised by one shortest y-z path of G: from
+    z, every step goes to the smallest-id neighbour one step closer to y. A
+    distance above r means the input projection was corrupt
+    (:class:`InternalError`). Path vertices outside Z ∪ Y are shared by all
+    pairs whose paths cross them and get one id each after the copies, in
+    order of first use; H minus the gadget is therefore a subgraph of G.
+    The gadget vertex v grows a fresh path of length exactly r to every
+    non-Z vertex of H and to its companion v', forcing one dominator of its
+    own while reaching no Z-copy, hence ``k_new = k + 1``.
 
     Projections are re-verified inside H once, and ``projection_ok`` reports
     the result.
@@ -296,11 +307,10 @@ def build_kernel(
     y_orig = sorted(reps.Y)
     base = sorted(set(z_orig) | set(y_orig))
     idx = {v: i for i, v in enumerate(base)}
-    next_id = len(base)
 
-    # Fresh shortest paths realizing each representative's projection.
+    # One shortest path of G per pair; inner vertices outside Z ∪ Y are
+    # shared between pairs and numbered after the copies.
     path_chains: list[list[int]] = []
-    path_internals: list[int] = []
     for y in y_orig:
         dmap = distances_from(g, y, r)
         for z in reps.projection[y]:
@@ -311,14 +321,18 @@ def build_kernel(
                 raise InternalError(
                     f"projection pairs {y} with {z} but their distance exceeds {r}"
                 )
-            internals = list(range(next_id, next_id + d - 1))
-            next_id += d - 1
-            path_internals.extend(internals)
-            path_chains.append([idx[y], *internals, idx[z]])
+            walk = [z]
+            for step in range(d - 1, -1, -1):
+                walk.append(next(w for w in g.adj[walk[-1]] if dmap.get(w) == step))
+            walk.reverse()
+            for v in walk:
+                if v not in idx:
+                    idx[v] = len(idx)
+            path_chains.append([idx[v] for v in walk])
 
-    gadget_v = next_id
-    gadget_v_prime = next_id + 1
-    next_id += 2
+    gadget_v = len(idx)
+    gadget_v_prime = gadget_v + 1
+    next_id = gadget_v + 2
     z_copies = {idx[z] for z in z_orig}
     targets = [h for h in range(gadget_v) if h not in z_copies]
     targets.append(gadget_v_prime)
@@ -344,7 +358,7 @@ def build_kernel(
         gadget_v=gadget_v,
         gadget_v_prime=gadget_v_prime,
         gadget_internals=tuple(gadget_internals),
-        path_internals=tuple(path_internals),
+        p_ids={v: i for v, i in idx.items() if i >= len(base)},
         projection_ok=projection_ok,
     )
 

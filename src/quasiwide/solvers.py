@@ -22,6 +22,7 @@ and tie-breaks go to the smaller vertex.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -248,6 +249,17 @@ def brute_cds(g: Graph, k: int) -> set[int] | None:
     return None
 
 
+def _leaf_state(idx: int, doms: list[int]) -> Hashable:
+    """The failure-memo key of a partition state in :func:`cds_fpt`'s leaf.
+
+    Whether the blocks ``doms`` can be completed from ``w_list[idx]`` on
+    depends only on ``idx`` and the multiset of blocks: the completions
+    reachable from any order of the same blocks are the same multisets,
+    and a finished partition's Steiner tree, hence its verdict, does not
+    depend on block order."""
+    return idx, tuple(sorted(doms))
+
+
 def cds_fpt(
     g: Graph,
     k: int,
@@ -350,10 +362,21 @@ def cds_fpt(
             return candidate
 
         doms: list[int] = []
+        # A failed state is never searched twice. Successes are not
+        # recorded: the first one in search order, and with it the witness,
+        # stays as it was.
+        failed: set[Hashable] = set()
 
         def assign(idx: int) -> set[int] | None:
-            if idx == len(w_list):
-                return try_partition(doms)
+            state = _leaf_state(idx, doms)
+            if state in failed:
+                return None
+            out = try_partition(doms) if idx == len(w_list) else extend(idx)
+            if out is None:
+                failed.add(state)
+            return out
+
+        def extend(idx: int) -> set[int] | None:
             w = w_list[idx]
             w_dom = masks[w]
             for j in range(len(doms)):

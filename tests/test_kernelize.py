@@ -7,19 +7,25 @@ exactly one forced extra center (hence budget k + 1).
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasiwide import _kernels
+from kernel_graphs import seeded_graphs
+from quasiwide import _kernels, generators
 from quasiwide import kernelize as kernelize_module
 from quasiwide.check import recheck_core
-from quasiwide.errors import ConfigError, InputError, InternalError
+from quasiwide.errors import ConfigError, DensityError, InputError, InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import (
     Graph,
     adjacency_bitsets,
+    adjacent,
     build_graph,
     distance_vector,
     distance_vectors,
@@ -403,19 +409,169 @@ def _property_instances():
 
 
 def test_kernel_paths_realize_projections_exactly():
-    # H's paths are as long as G's distances, so from each y-copy the
-    # Z-copies within r are exactly y's projection: the kernel needs no
-    # repair step after one build.
+    # H's paths are shortest paths of G, so from each y-copy the Z-copies
+    # within r are exactly y's projection: the kernel needs no repair step
+    # after one build.
     for g, z, r in _property_instances():
         reps = reduce_dominators(g, z, r)
         ki = build_kernel(g, z, reps, r, 1)
         assert ki.projection_ok
         z_of_copy = {h: v for v, h in ki.z_ids.items()}
-        internals = 0
+        fresh = 0
         for y, hy in ki.y_ids.items():
             in_h = _bfs_distances(ki.graph.adj, hy)
             reached = {z_of_copy[h] for h, d in in_h.items() if d <= r and h in z_of_copy}
             assert reached == set(reps.projection[y]), (g.n, r, y)
             in_g = _bfs_distances(g.adj, y)
-            internals += sum(in_g[v] - 1 for v in reps.projection[y] if v != y)
-        assert len(ki.path_internals) == internals
+            fresh += sum(in_g[v] - 1 for v in reps.projection[y] if v != y)
+        # P is a set of G vertices outside Z ∪ Y, one H id each, and never
+        # larger than the fresh inner vertices of one path per pair
+        assert set(ki.p_ids) <= set(range(g.n)) - set(z) - reps.Y
+        assert len(set(ki.p_ids.values())) == len(ki.p_ids)
+        assert len(ki.path_internals) <= fresh
+        # off the gadget, H is a subgraph of G
+        g_of = {h: v for ids in (ki.z_ids, ki.y_ids, ki.p_ids) for v, h in ids.items()}
+        gadget = set(ki.gadget_ids)
+        for a, b in ki.graph.edges():
+            if a not in gadget and b not in gadget:
+                assert adjacent(g, g_of[a], g_of[b]), (g.n, r, a, b)
+
+
+def test_kernel_gadget_reaches_shared_path_vertices():
+    # P7 at r = 2 with Z = {2, 6}: vertex 4 alone dominates Z. The paths
+    # 0-1-2 and 4-3-2 cross 1 and 3, which are neither in Z nor
+    # representatives, and which 4 does not reach in H; only the gadget
+    # covers them, so H needs it to keep the answer.
+    g = path_graph(7)
+    reps = reduce_dominators(g, [2, 6], 2)
+    ki = build_kernel(g, [2, 6], reps, 2, 1)
+    assert sorted(reps.Y) == [0, 4, 5]
+    assert sorted(ki.p_ids) == [1, 3]
+    from_v = distances_from(ki.graph, ki.gadget_v, 2)
+    assert all(from_v.get(h) == 2 for h in ki.path_internals)
+    assert exact_drds(ki.graph, 2, ki.k_new) is not None
+
+
+def fresh_path_kernel(g, Z, reps, r):
+    """The construction ``build_kernel`` replaced: every (y, z) pair gets a
+    fresh path of dist_G(y, z) - 1 new vertices, numbered after the copies
+    in pair order, and the same gadget on every non-Z vertex."""
+    z_orig = sorted(set(Z))
+    y_orig = sorted(reps.Y)
+    base = sorted(set(z_orig) | set(y_orig))
+    idx = {v: i for i, v in enumerate(base)}
+    next_id = len(base)
+    edges = []
+    path_internals = []
+    for y in y_orig:
+        dmap = distances_from(g, y, r)
+        for z in reps.projection[y]:
+            if z == y:
+                continue
+            inner = list(range(next_id, next_id + dmap[z] - 1))
+            next_id += len(inner)
+            path_internals.extend(inner)
+            chain = [idx[y], *inner, idx[z]]
+            edges.extend(zip(chain, chain[1:]))
+    gadget_v, gadget_v_prime = next_id, next_id + 1
+    next_id += 2
+    z_copies = {idx[z] for z in z_orig}
+    gadget_internals = []
+    for tgt in [h for h in range(gadget_v) if h not in z_copies] + [gadget_v_prime]:
+        inner = list(range(next_id, next_id + r - 1))
+        next_id += r - 1
+        gadget_internals.extend(inner)
+        chain = [gadget_v, *inner, tgt]
+        edges.extend(zip(chain, chain[1:]))
+    return {
+        "graph": build_graph(next_id, edges),
+        "z_ids": {z: idx[z] for z in z_orig},
+        "y_ids": {y: idx[y] for y in y_orig},
+        "gadget": (gadget_v, gadget_v_prime, tuple(gadget_internals)),
+        "path_internals": tuple(path_internals),
+    }
+
+
+def test_r1_kernel_equals_the_fresh_path_construction():
+    # at r = 1 a path has no inner vertex, so nothing is shared or renamed
+    cases = [(g, z) for g, z, _ in _property_instances()]
+    cases += [(g, range(g.n)) for g in seeded_graphs()]
+    for g, z in cases:
+        reps = reduce_dominators(g, z, 1)
+        ki = build_kernel(g, z, reps, 1, 1)
+        want = fresh_path_kernel(g, z, reps, 1)
+        assert ki.graph.adj == want["graph"].adj
+        assert ki.z_ids == want["z_ids"] and ki.y_ids == want["y_ids"]
+        assert (ki.gadget_v, ki.gadget_v_prime, ki.gadget_internals) == want["gadget"]
+        assert ki.path_internals == want["path_internals"] == ()
+
+
+# Small parameter ranges for every generator family, so that exact_drds
+# can search G and H.
+FAMILY_PARAMS = {
+    "grid": {"w": (2, 7), "h": (2, 5)},
+    "path": {"n": (4, 30)},
+    "cycle": {"n": (4, 30)},
+    "star": {"p": (1, 12)},
+    "stars": {"k": (1, 4), "p": (1, 4)},
+    "random_bounded_degree": {"n": (6, 24), "d": (1, 3), "seed": (0, 1 << 16)},
+    "random_degenerate": {"n": (6, 24), "c": (1, 2), "seed": (0, 1 << 16)},
+    "halfgraph": {"k": (1, 7)},
+    "clique": {"n": (1, 8)},
+    "biclique": {"s": (1, 4), "t": (1, 5)},
+}
+
+
+def test_family_params_cover_every_family():
+    assert set(FAMILY_PARAMS) == set(generators._FAMILIES)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(G, r, k, a random subset of V(G)) over every generator family."""
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    params = {
+        name: draw(st.integers(lo, hi))
+        for name, (lo, hi) in FAMILY_PARAMS[family].items()
+    }
+    g = generate(GenSpec(family, params))
+    keep = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    subset = [v for v in range(g.n) if keep[v]]
+    r = draw(st.sampled_from((1, 2, 3)))
+    return g, r, draw(st.integers(1, 3)), subset
+
+
+def z_dominated(g, z, r, k):
+    """Whether some k vertices of G r-dominate every vertex of z."""
+    want = sum(1 << v for v in set(z))
+    balls = [sum(1 << u for u in distances_from(g, v, r)) & want for v in range(g.n)]
+    return any(
+        functools.reduce(operator.or_, (balls[v] for v in X), 0) == want
+        for X in itertools.combinations(range(g.n), min(k, g.n))
+    )
+
+
+def check_kernel(g, z, r, k, answer):
+    reps = reduce_dominators(g, z, r)
+    ki = build_kernel(g, z, reps, r, k)
+    assert ki.projection_ok
+    assert (exact_drds(ki.graph, r, ki.k_new) is not None) == answer
+    # the gadget has one path of length r per non-Z vertex taken from G and
+    # one to v'; every other vertex of H is a distinct vertex of G
+    from_g = ki.gadget_v - len(ki.z_ids)
+    assert ki.graph.n <= g.n + 2 + (r - 1) * (from_g + 1)
+    assert ki.graph.n <= fresh_path_kernel(g, z, reps, r)["graph"].n
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_keeps_the_answer_on_every_family(case):
+    g, r, k, subset = case
+    try:
+        z = domination_core(g, CoreConfig(r=r, k=k, ell=k + 2)).Z
+    except DensityError:
+        # the sieve refused; V(G) is always a sound core
+        z = range(g.n)
+    check_kernel(g, z, r, k, exact_drds(g, r, k) is not None)
+    # on any Z, H at budget k + 1 answers whether k vertices dominate Z
+    check_kernel(g, subset, r, k, z_dominated(g, subset, r, k))

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from quasiwide import solvers
 from quasiwide.errors import ConfigError, DensityError, InfeasibleError, InputError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import build_graph, distances_from
@@ -257,3 +258,54 @@ def test_cds_fpt_agrees_with_brute():
             if got is not None:
                 assert len(got) <= k
                 assert is_cds(g, got)
+
+
+def _memo_free(monkeypatch):
+    """Give every leaf state a key of its own, so the failure memo of
+    ``cds_fpt`` never hits."""
+    monkeypatch.setattr(solvers, "_leaf_state", lambda idx, doms: object())
+
+
+def _cds_corpus():
+    for family, name, values in (
+        ("random_degenerate", "c", (1, 2, 3)),
+        ("random_bounded_degree", "d", (3, 4)),
+    ):
+        for n in (8, 9, 10):
+            for p in values:
+                for seed in range(3):
+                    g = generate(GenSpec(family, {"n": n, name: p, "seed": seed}))
+                    gamma = next(
+                        (k for k in range(1, n + 1) if brute_cds(g, k) is not None), None
+                    )
+                    if gamma is not None:
+                        for k in sorted({max(1, gamma - 1), gamma}):
+                            yield g, k
+
+
+def test_cds_fpt_memo_keeps_answers_and_witnesses(monkeypatch):
+    corpus = list(_cds_corpus())
+    assert len(corpus) >= 60
+    with_memo = [cds_fpt(g, k) for g, k in corpus]
+    _memo_free(monkeypatch)
+    assert [cds_fpt(g, k) for g, k in corpus] == with_memo
+    assert any(out is None for out in with_memo)
+    assert any(out is not None for out in with_memo)
+
+
+def test_cds_fpt_memo_saves_steiner_runs(monkeypatch):
+    calls = []
+    real = solvers.dreyfus_wagner
+
+    def counting(inst):
+        calls.append(len(inst.terminals))
+        return real(inst)
+
+    monkeypatch.setattr(solvers, "dreyfus_wagner", counting)
+    g = generate(GenSpec("random_degenerate", {"n": 12, "c": 1, "seed": 2}))
+    got = cds_fpt(g, 5)
+    with_memo = len(calls)
+    del calls[:]
+    _memo_free(monkeypatch)
+    assert cds_fpt(g, 5) == got
+    assert with_memo < len(calls)
