@@ -1,13 +1,18 @@
-"""Compare the compiled kernels against the pure-Python fallback.
+"""Compare the compiled type-tree round against the pure-Python one.
 
-Times the three hot primitives (formula evaluation, trie rounds,
-reachability masks) on a configurable graph and prints the median of
-repeated runs plus the speedup ratio.
+Times the rounds that run compiled, tail-free rounds with three or more
+free slots (arity 3 and 4, empty tail), on a configurable graph and prints
+the median of repeated runs plus the speedup ratio. Every other round and
+primitive runs in pure on both backends.
+
+The default graph has 120 vertices, about one sieve window of the
+benchmark's workloads; pure arity-4 rounds grow steeply with the sequence
+length.
 
 Usage:
-    python3 benchmarks/backend_compare.py --family grid --params w=30,h=30
+    python3 benchmarks/backend_compare.py
     python3 benchmarks/backend_compare.py --family random_degenerate \
-        --params n=400,c=3,seed=7 --repeats 7
+        --params n=120,c=2,seed=7 --repeats 7
 """
 
 from __future__ import annotations
@@ -42,9 +47,7 @@ def median_ms(fn, repeats: int) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--family", default="grid")
-    ap.add_argument("--params", default="w=20,h=20")
-    ap.add_argument("--arity", type=int, default=3, choices=range(2, 9))
-    ap.add_argument("--r", type=int, default=2, help="radius for the mask bench")
+    ap.add_argument("--params", default="w=12,h=10")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
 
@@ -56,29 +59,15 @@ def main(argv=None) -> int:
 
     g = generate(GenSpec(args.family, parse_params(args.params)))
     seq = list(range(g.n))
-    arity = args.arity
-    evals = [
-        tuple((j * 7919 + i) % g.n for i in range(arity)) for j in range(2000)
-    ]
-
-    # one free slot (t = 0): the last arity - 1 elements are fixed, as
-    # extract_indiscernible's final round of each formula fixes them
-    prefix, tail = seq[: g.n - arity + 1], seq[g.n - arity + 1 :]
-
     benches = {
-        "eval_formula x2000": lambda be: [
-            be.eval_formula(g, 1, 1, arity, t) for t in evals
-        ],
-        "tree_round": lambda be: be.tree_round(g, seq, 1, 1, arity, ()),
-        "tree_round t=0": lambda be: be.tree_round(g, prefix, 1, 1, arity, tail),
-        "tree_round edge": lambda be: be.tree_round(g, seq, 0, 0, 2, ()),
-        # one signature bit per node (t = 1), the sieve's arity-2 rounds
-        "tree_round phi_1^2": lambda be: be.tree_round(g, seq, 1, 1, 2, ()),
-        "tree_round psi_1^2": lambda be: be.tree_round(g, seq, 2, 1, 2, ()),
-        f"nr_masks r={args.r}": lambda be: be.nr_masks(g, args.r),
+        f"tree_round {name}_1^{arity}": (
+            lambda be, kind=kind, arity=arity: be.tree_round(g, seq, kind, 1, arity, ())
+        )
+        for arity in (3, 4)
+        for kind, name in ((1, "phi"), (2, "psi"))
     }
 
-    print(f"graph: {args.family}({args.params})  n={g.n}  arity={arity}")
+    print(f"graph: {args.family}({args.params})  n={g.n}")
     print(f"{'primitive':<22} {'pure ms':>10} {'native ms':>10} {'speedup':>8}")
     for name, bench in benches.items():
         t_pure = median_ms(lambda: bench(pure), args.repeats)

@@ -2,8 +2,8 @@
 
 Four layers, from primitive to composite:
 
-- ``graph`` / ``generators`` / ``io``: degeneracy-ordered graphs, seeded
-  graph families, edge-list files.
+- ``graph`` / ``generators`` / ``io``: adjacency-list graphs, seeded graph
+  families, edge-list files.
 - ``logic``: the bounded formula family, indiscernibility oracle, and
   type-tree subsequence extraction.
 - ``uqw``: the uniform quasi-wideness splitter (small deletion set S, large
@@ -13,9 +13,9 @@ Four layers, from primitive to composite:
 
 ``check`` holds the independent re-verification of every result.
 
-The compute-heavy inner loops have a compiled twin in
-``quasiwide._kernels``; set ``QUASIWIDE_FORCE_PURE=1`` to insist on the
-pure-Python fallback.
+The compute-heavy inner loops live in ``quasiwide._kernels``. Their
+pure-Python implementation always works; type-tree rounds with three or
+more free slots run compiled when the optional extension is built.
 """
 
 from .errors import (

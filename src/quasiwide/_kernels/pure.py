@@ -1,10 +1,11 @@
-"""Pure-Python backend: arbitrary-precision int bitsets.
+"""Pure-Python kernels: arbitrary-precision int bitsets.
 
-Semantics reference for the native twin. Formula evaluation intersects
-neighbor bitsets starting from the smallest positive-literal list (an empty
-positive set degenerates to a full-universe scan, expressed here as the
-all-ones mask). A formula holds when the mask that survives every literal is
-nonzero.
+The only implementation of formula evaluation and ``nr_masks``, and the
+semantics reference for the compiled type-tree round. Formula evaluation
+intersects neighbor bitsets starting from the smallest positive-literal list
+(an empty positive set degenerates to a full-universe scan, expressed here
+as the all-ones mask). A formula holds when the mask that survives every
+literal is nonzero.
 
 The type-tree round follows the insertion scheme described in
 ``quasiwide.logic`` but never evaluates a tuple on its own. Literals

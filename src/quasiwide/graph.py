@@ -1,18 +1,15 @@
-"""Degeneracy-ordered graph core.
+"""Graph core.
 
 Every structure in this package sits on top of this module: an immutable
-undirected graph with sorted adjacency lists, a degeneracy ordering computed
-on first read, and the handful of primitives the algorithms need (bounded
-BFS, capped distance vectors, independence checks, ball contraction).
+undirected graph with sorted adjacency lists, its degeneracy computed on
+first read, and the handful of primitives the algorithms need (bounded BFS,
+capped distance vectors, independence checks, ball contraction).
 
 Conventions:
 - Vertices are the integers ``0..n-1``; edges are unordered pairs of distinct
   vertices. Parallel edges and self-loops are dropped silently at build time.
-- ``order`` lists the densest part of the graph first (reverse peeling
-  order), so every vertex has at most ``c`` neighbors earlier in the order;
-  those are its ``smaller_neighbors`` and make adjacency tests O(c).
-  Kernels, contractions and solver gadgets never read them, so the peel
-  runs only for graphs that do.
+- The degeneracy ``c`` is computed on first read. Kernels, contractions and
+  solver gadgets never read it, so the peel runs only for graphs that do.
 - Distances count edges. Values beyond a cap are reported as ``INF``
   (``math.inf``), which keeps capped distance vectors hashable.
 - Deleted-set arguments (``forbidden``, ``avoid``) emulate the subgraph
@@ -35,23 +32,19 @@ INF = math.inf
 
 @dataclass(eq=False)
 class Graph:
-    """Immutable undirected graph whose degeneracy ordering is computed on
-    first read.
+    """Immutable undirected graph whose degeneracy is computed on first
+    read.
 
-    ``adj[v]`` is the sorted tuple of neighbors of ``v``. ``order`` is the
-    reverse peeling order, ``smaller_neighbors[v]`` holds the neighbors of
-    ``v`` that appear before it there (at most ``c`` of them) and ``c`` is
-    the degeneracy; one peel computes all three the first time any of them
-    is read. Treat instances as frozen; the private fields only cache
-    derived arrays and, in ``_rounds``, the trees of the type-tree rounds
+    ``adj[v]`` is the sorted tuple of neighbors of ``v`` and ``c`` is the
+    degeneracy. Treat instances as frozen; the private fields only cache
+    derived values and, in ``_rounds``, the trees of the type-tree rounds
     that ``_kernels.pure`` resumes from one call to the next.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    _peel: tuple | None = field(default=None, repr=False, compare=False)
+    _c: int | None = field(default=None, repr=False, compare=False)
     _bits: list[int] | None = field(default=None, repr=False, compare=False)
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
     _rounds: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -60,25 +53,11 @@ class Graph:
         return sum(len(a) for a in self.adj) // 2
 
     @property
-    def order(self) -> tuple[int, ...]:
-        """Reverse peeling order: every vertex has at most ``c`` neighbors
-        before it."""
-        return self._degeneracy()[0]
-
-    @property
-    def smaller_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the sorted neighbors that come before it in ``order``."""
-        return self._degeneracy()[1]
-
-    @property
     def c(self) -> int:
         """Degeneracy: the largest degree a vertex has when it is peeled."""
-        return self._degeneracy()[2]
-
-    def _degeneracy(self) -> tuple:
-        if self._peel is None:
-            self._peel = _peel(self.n, self.adj)
-        return self._peel
+        if self._c is None:
+            self._c = _peel(self.n, self.adj)
+        return self._c
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -96,7 +75,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate edges and self-loops are dropped without complaint; an endpoint
     outside ``0..n-1`` raises :class:`InputError`. Only the adjacency is
-    built here; the degeneracy ordering waits for its first read.
+    built here; the degeneracy waits for its first read.
     """
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
@@ -114,38 +93,26 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adj=tuple(tuple(sorted(a)) for a in neighbor_sets))
 
 
-def _peel(
-    n: int, adj: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """``(order, smaller_neighbors, c)`` by repeatedly peeling a
-    minimum-degree vertex (smallest id on ties); ``c`` is the largest degree
-    seen at peel time."""
-    # Lazy heap keyed by (degree, id): deterministic and O(m log n).
+def _peel(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
+    """The degeneracy: repeatedly peel a minimum-degree vertex and return the
+    largest degree seen at peel time."""
+    # Lazy heap keyed by (degree, id): O(m log n).
     degree = [len(a) for a in adj]
     heap: list[tuple[int, int]] = [(degree[v], v) for v in range(n)]
     heapq.heapify(heap)
     removed = [False] * n
-    peel: list[int] = []
     c = 0
     while heap:
         d, v = heapq.heappop(heap)
         if removed[v] or d != degree[v]:
             continue
         removed[v] = True
-        peel.append(v)
         c = max(c, d)
         for u in adj[v]:
             if not removed[u]:
                 degree[u] -= 1
                 heapq.heappush(heap, (degree[u], u))
-    order = tuple(reversed(peel))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    smaller = tuple(
-        tuple(sorted(u for u in adj[v] if pos[u] < pos[v])) for v in range(n)
-    )
-    return order, smaller, c
+    return c
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -163,11 +130,10 @@ def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
 
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
-    """Edge test in O(c): each vertex keeps at most ``c`` smaller neighbors,
-    so it suffices to scan both short lists."""
+    """Edge test: whether ``v`` is among the neighbors of ``u``."""
     _check_vertex(g, u)
     _check_vertex(g, v)
-    return v in g.smaller_neighbors[u] or u in g.smaller_neighbors[v]
+    return v in g.adj[u]
 
 
 def _layers(
@@ -455,25 +421,3 @@ def adjacency_bitsets(g: Graph) -> list[int]:
             bits.append(mask)
         g._bits = bits
     return g._bits
-
-
-def csr_arrays(g: Graph):
-    """Adjacency in CSR form (numpy int32 ``indptr``/``indices``), cached.
-
-    This is the layout the native kernels consume; built lazily so pure
-    callers never pay for it.
-    """
-    if g._csr is None:
-        import numpy as np
-
-        indptr = np.zeros(g.n + 1, dtype=np.int32)
-        for v in range(g.n):
-            indptr[v + 1] = indptr[v] + len(g.adj[v])
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        at = 0
-        for v in range(g.n):
-            for u in g.adj[v]:
-                indices[at] = u
-                at += 1
-        g._csr = (indptr, indices)
-    return g._csr

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError, InputError, InternalError
@@ -80,9 +80,12 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class Removal:
-    """A justified removal candidate: ``w`` is the smallest member of a
-    ``bucket`` of at least k + 2 vertices sharing one capped distance vector
-    to the ``anchors``."""
+    """A justified removal: ``w`` is a member of a ``bucket`` of at least
+    k + 2 vertices sharing one capped distance vector to the ``anchors``.
+
+    :func:`find_irrelevant_dominatee` proposes the bucket's smallest member;
+    :func:`domination_core` logs one per deleted vertex, with ``w`` set to
+    that vertex."""
 
     w: int
     bucket: tuple[int, ...]
@@ -160,19 +163,9 @@ def find_irrelevant_dominatee(
 
 
 @dataclass(frozen=True)
-class RemovalRecord:
-    """One logged deletion: the removed vertex, the anchor set S of its
-    split, and the full same-vector bucket that justified it."""
-
-    w: int
-    anchors: tuple[int, ...]
-    bucket: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DominationCore:
     Z: frozenset[int]
-    removal_log: tuple[RemovalRecord, ...]
+    removal_log: tuple[Removal, ...]
 
 
 def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> DominationCore:
@@ -185,7 +178,7 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
     member per round. Every deletion is logged with its justification.
     """
     z = _SortedZ(range(g.n))
-    log: list[RemovalRecord] = []
+    log: list[Removal] = []
     ell = cfg.effective_ell
     while True:
         rem = find_irrelevant_dominatee(g, z, cfg)
@@ -198,7 +191,7 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
         else:
             removed = (rem.w,)
         for w in removed:
-            log.append(RemovalRecord(w=w, anchors=rem.anchors, bucket=rem.bucket))
+            log.append(replace(rem, w=w))
             del z[bisect_left(z, w)]
         _log.debug("removed %d dominatee(s), |Z|=%d", len(removed), len(z))
     return DominationCore(Z=frozenset(z), removal_log=tuple(log))
@@ -387,7 +380,6 @@ def kernel_pipeline(
 __all__ = [
     "CoreConfig",
     "Removal",
-    "RemovalRecord",
     "DominationCore",
     "KernelInstance",
     "Representatives",

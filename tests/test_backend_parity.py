@@ -1,45 +1,79 @@
-"""The compiled kernels and the pure-Python ones must agree bit for bit:
-same formula values, same trie branches, same reachability masks. Runs on
-seeded random graphs plus the degenerate shapes (tiny n, empty sequences,
-stars, cliques) where off-by-one word handling would show."""
+"""The compiled type-tree round and the pure-Python one must agree bit for
+bit: same trie branches on seeded random graphs plus the degenerate shapes
+(tiny n, empty sequences, stars, cliques) where off-by-one word handling
+would show.
+
+Where the extension is not built, the module fixture compiles the tracked
+``_native.c`` into a temporary directory with the system C compiler and
+loads it under its package name for these tests only. It skips only when
+the compiler, ``Python.h`` or numpy is missing.
+"""
+
+import importlib
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import quasiwide._kernels as K
 from kernel_graphs import seeded_graphs
 from quasiwide._kernels import pure
 
-native = pytest.importorskip(
-    "quasiwide._kernels.native_wrap",
-    reason="compiled backend not built in this environment",
-)
-
+NATIVE = "quasiwide._kernels._native"
+WRAP = "quasiwide._kernels.native_wrap"
 
 GRAPHS = seeded_graphs()
 
 
-def arg_tuples(g, arity, count):
-    from quasiwide.generators import SplitMix64
-
-    rng = SplitMix64(1234 + arity)
-    for _ in range(count):
-        yield tuple(rng.below(g.n) for _ in range(arity))
-
-
-@pytest.mark.parametrize("kind", [0, 1, 2])
-def test_eval_formula_agrees(kind):
-    for g in GRAPHS:
-        for arity in (2, 3, 4):
-            if kind == 0 and arity != 2:
-                continue
-            splits = range(1, arity) if kind else [0]
-            for i_split in splits:
-                for args in arg_tuples(g, arity, 20):
-                    want = pure.eval_formula(g, kind, i_split, arity, args)
-                    got = native.eval_formula(g, kind, i_split, arity, args)
-                    assert got == want, (g.n, kind, i_split, arity, args)
+def _compile_native(out_dir: Path) -> Path:
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]})")
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip(f"Python.h not found in {include}")
+    numpy = pytest.importorskip("numpy")
+    source = Path(K.__file__).with_name("_native.c")
+    target = out_dir / ("_native" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [*cc, "-O2", "-shared", "-fPIC", "-I", include, "-I", numpy.get_include(),
+         str(source), "-o", str(target)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return target
 
 
-def test_tree_round_agrees():
+@pytest.fixture(scope="module")
+def native(tmp_path_factory):
+    try:
+        importlib.import_module(NATIVE)
+        injected = False
+    except ImportError:
+        target = _compile_native(tmp_path_factory.mktemp("native"))
+        spec = importlib.util.spec_from_file_location(NATIVE, target)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[NATIVE] = module
+        spec.loader.exec_module(module)
+        injected = True
+    try:
+        yield importlib.import_module(WRAP)
+    finally:
+        if injected:
+            # the rest of the suite keeps the backend it imported with
+            for name in (WRAP, NATIVE):
+                sys.modules.pop(name, None)
+                attr = name.rsplit(".", 1)[1]
+                if hasattr(K, attr):
+                    delattr(K, attr)
+
+
+def test_tree_round_agrees(native):
     for g in GRAPHS:
         seq = list(range(g.n))
         for arity in (2, 3, 4):
@@ -54,12 +88,12 @@ def test_tree_round_agrees():
                         assert got == want, (g.n, kind, i_split, arity, tail)
 
 
-def test_tree_round_empty_sequence():
+def test_tree_round_empty_sequence(native):
     g = GRAPHS[4]
     assert native.tree_round(g, [], 1, 1, 2, ()) == pure.tree_round(g, [], 1, 1, 2, ())
 
 
-def test_tree_round_edge_atom():
+def test_tree_round_edge_atom(native):
     for g in GRAPHS[:5]:
         seq = list(range(g.n))
         want = pure.tree_round(g, seq, 0, 0, 2, ())
@@ -72,24 +106,16 @@ def test_tree_round_edge_atom():
             assert got1 == want1
 
 
-def test_nr_masks_agree():
-    for g in GRAPHS:
-        for r in (1, 2, 3):
-            assert native.nr_masks(g, r) == pure.nr_masks(g, r), (g.n, r)
-
-
-def test_large_arity_falls_back(monkeypatch):
+def test_tree_round_large_arity_falls_back(native):
+    # arity 9 exceeds the compiled argument buffer; the wrapper must delegate
     g = GRAPHS[2]
-    args = tuple(range(9)) + (0,) * 0
-    # arity 9 exceeds the compiled limit; the wrapper must delegate
-    want = pure.eval_formula(g, 1, 4, 9, args)
-    got = native.eval_formula(g, 1, 4, 9, args)
-    assert got == want
+    seq = list(range(min(g.n, 12)))
+    assert native.tree_round(g, seq, 1, 4, 9, ()) == pure.tree_round(g, seq, 1, 4, 9, ())
 
 
 def test_package_backend_selection():
-    import quasiwide._kernels as K
-
     assert K.BACKEND in ("native", "pure")
-    g = GRAPHS[3]
-    assert K.eval_formula(g, 0, 0, 2, (0, 1)) is True
+    # only tree_round has a compiled twin
+    assert K.eval_formula is pure.eval_formula
+    assert K.nr_masks is pure.nr_masks
+    assert K.eval_formula(GRAPHS[3], 0, 0, 2, (0, 1)) is True

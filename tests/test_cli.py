@@ -461,11 +461,15 @@ def test_solve_missing_flag_messages(capsys, grid33, problem, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 def test_pure_import_loads_no_numpy():
-    # pure runs' set-up time and memory rest on never importing numpy
-    env = dict(os.environ, QUASIWIDE_FORCE_PURE="1")
+    # pure runs' set-up time and memory rest on never importing numpy; the
+    # None entry makes the extension unimportable even where it is built
+    code = (
+        "import sys; sys.modules['quasiwide._kernels._native'] = None; "
+        "import quasiwide.cli, quasiwide._kernels as K; "
+        "print('numpy' in sys.modules, K.BACKEND)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quasiwide.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False pure\n"

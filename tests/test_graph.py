@@ -12,7 +12,6 @@ from quasiwide.graph import (
     bfs_limited,
     build_graph,
     contract_balls,
-    csr_arrays,
     distance_vector,
     distances_from,
     is_r_independent,
@@ -58,15 +57,6 @@ def test_degeneracy_known_families():
     k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     assert k5.c == 4
     assert build_graph(3, []).c == 0
-
-
-def test_smaller_neighbors_respects_order():
-    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    pos = {v: i for i, v in enumerate(g.order)}
-    for v in range(g.n):
-        expected = sorted(u for u in g.adj[v] if pos[u] < pos[v])
-        assert list(g.smaller_neighbors[v]) == expected
-        assert len(expected) <= g.c
 
 
 def test_bfs_limited_depth_and_forbidden():
@@ -137,14 +127,12 @@ def test_contract_balls_avoid_dropped():
     assert con.graph.m == 0
 
 
-def test_adjacency_bitsets_and_csr_agree():
+def test_adjacency_bitsets_match_adj():
     g = build_graph(6, [(0, 1), (0, 2), (3, 5), (4, 5)])
     bits = adjacency_bitsets(g)
-    indptr, indices = csr_arrays(g)
     for v in range(g.n):
         row = [u for u in range(g.n) if bits[v] >> u & 1]
         assert row == list(g.adj[v])
-        assert list(indices[indptr[v] : indptr[v + 1]]) == list(g.adj[v])
 
 
 @st.composite
@@ -158,19 +146,21 @@ def random_graph(draw):
     return build_graph(n, [(u, v) for u, v in edges if u != v])
 
 
+def k_core(g, k):
+    """The vertices left after repeatedly removing those of degree < k."""
+    alive = set(range(g.n))
+    while True:
+        low = {v for v in alive if sum(u in alive for u in g.adj[v]) < k}
+        if not low:
+            return alive
+        alive -= low
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_graph())
-def test_degeneracy_order_property(g):
-    """Every vertex sees at most c neighbors earlier in the order, and c is
-    attained somewhere (unless the graph is edgeless)."""
-    pos = {v: i for i, v in enumerate(g.order)}
-    assert sorted(g.order) == list(range(g.n))
-    backs = [sum(1 for u in g.adj[v] if pos[u] < pos[v]) for v in range(g.n)]
-    assert all(b <= g.c for b in backs)
-    if g.m:
-        assert g.c >= 1
-    else:
-        assert g.c == 0
+def test_degeneracy_is_largest_nonempty_core(g):
+    """c is the largest k whose k-core is non-empty."""
+    assert g.c == max(k for k in range(g.n) if k_core(g, k))
 
 
 @settings(max_examples=40, deadline=None)

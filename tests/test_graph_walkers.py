@@ -77,25 +77,18 @@ def reference_peel(g):
     heap = [(degree[v], v) for v in range(g.n)]
     heapq.heapify(heap)
     removed = [False] * g.n
-    peel = []
     c = 0
     while heap:
         d, v = heapq.heappop(heap)
         if removed[v] or d != degree[v]:
             continue
         removed[v] = True
-        peel.append(v)
         c = max(c, d)
         for u in g.adj[v]:
             if not removed[u]:
                 degree[u] -= 1
                 heapq.heappush(heap, (degree[u], u))
-    order = tuple(reversed(peel))
-    pos = {v: i for i, v in enumerate(order)}
-    smaller = tuple(
-        tuple(sorted(u for u in g.adj[v] if pos[u] < pos[v])) for v in range(g.n)
-    )
-    return order, smaller, c
+    return c
 
 
 def _graphs():
@@ -247,10 +240,7 @@ def test_walkers_match_references_on_random_graphs(case):
 
 def test_lazy_peel_matches_eager_peel():
     for g in _graphs() + [build_graph(0, [])]:
-        order, smaller, c = reference_peel(g)
-        assert g.c == c
-        assert g.order == order
-        assert g.smaller_neighbors == smaller
+        assert g.c == reference_peel(g)
         for u, v in g.edges():
             assert adjacent(g, u, v)
 
@@ -271,7 +261,7 @@ def peel_calls(monkeypatch):
 def test_peel_runs_once_and_only_on_read(peel_calls):
     g = generate(GenSpec("grid", {"w": 4, "h": 3}))
     assert peel_calls == []
-    assert (g.c, len(g.order), len(g.smaller_neighbors)) == (2, 12, 12)
+    assert (g.c, g.c) == (2, 2)
     assert peel_calls == [12]
 
 
@@ -293,6 +283,6 @@ def test_cli_report_degeneracy_unchanged(peel_calls, tmp_path, capsys):
     ])
     assert code in (0, 3)
     doc = json.loads(capsys.readouterr().out)
-    assert doc["input"]["degeneracy"] == reference_peel(g)[2] == 2
+    assert doc["input"]["degeneracy"] == reference_peel(g) == 2
     # only the reported input graph is peeled
     assert peel_calls == [g.n]
