@@ -3,7 +3,10 @@
 Times the rounds that run compiled, tail-free rounds with three or more
 free slots (arity 3 and 4, empty tail), on a configurable graph and prints
 the median of repeated runs plus the speedup ratio. Every other round and
-primitive runs in pure on both backends.
+primitive runs in pure on both backends. The compiled round is the C
+extension ``quasiwide._kernels._native``; build it in place first with
+``python3 setup.py build_ext --inplace`` (a C compiler and ``Python.h`` are
+all it needs).
 
 The default graph has 120 vertices, about one sieve window of the
 benchmark's workloads; pure arity-4 rounds grow steeply with the sequence

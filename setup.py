@@ -1,33 +1,21 @@
 """Build script: compiles the optional native kernel extension.
 
 The package works without the extension (a pure-Python twin is selected at
-import time), so a failed compile degrades the install instead of breaking it.
+import time), so the extension is optional: a failed compile degrades the
+install instead of breaking it.
 """
 
 from __future__ import annotations
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-try:
-    import numpy
-    from Cython.Build import cythonize
-    from setuptools.extension import Extension
-
-    extensions = cythonize(
-        [
-            Extension(
-                "quasiwide._kernels._native",
-                ["src/quasiwide/_kernels/_native.pyx"],
-                extra_compile_args=["-O3"],
-                include_dirs=[numpy.get_include()],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError as exc:  # no Cython/numpy at build time: pure fallback
-    print(f"quasiwide: skipping native extension ({exc})", file=sys.stderr)
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "quasiwide._kernels._native",
+            ["src/quasiwide/_kernels/_native.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

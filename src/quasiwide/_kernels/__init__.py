@@ -9,11 +9,12 @@ also their semantic reference:
   round; returns the longest root-to-leaf branch as a label list.
 - ``nr_masks(g, r)``: closed r-ball bitmasks for every vertex.
 
-``tree_round`` alone has a compiled twin. When the Cython extension
-``_native`` imports, ``native_wrap.tree_round`` runs rounds with three or
-more free slots (``arity - len(tail) >= 3``) on its per-node descent, the
-only round shape where compiled code beats pure, and hands every other
-round to ``pure``. ``BACKEND`` names the ``tree_round`` in use: "native" or
+``tree_round`` alone has a compiled twin, the hand-written C extension
+``_native`` (CPython API only, no build-time or runtime dependencies). When
+it imports, ``native_wrap.tree_round`` runs rounds with three or more free
+slots (``arity - len(tail) >= 3``) on its per-node descent, the only round
+shape where compiled code beats pure, and hands every other round to
+``pure``. ``BACKEND`` names the ``tree_round`` in use: "native" or
 "pure".
 
 Formula semantics are pinned outside both backends by the witness scan

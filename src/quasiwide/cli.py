@@ -58,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 class _Run:
     """What a report says besides the result: the options a command echoes,
-    its input graph, and its stage timings. Calling it times a stage;
+    its input graph, and its stage timings. Calling it times a stage, also
+    one that raises, so a refusal report keeps the time spent before it;
     deterministic mode records every duration as 0.0."""
 
     def __init__(self, deterministic: bool) -> None:
@@ -70,9 +71,11 @@ class _Run:
     @contextmanager
     def __call__(self, name: str) -> Iterator[None]:
         start = time.perf_counter()
-        yield
-        elapsed = (time.perf_counter() - start) * 1000.0
-        self.timings[name] = 0.0 if self.deterministic else round(elapsed, 3)
+        try:
+            yield
+        finally:
+            elapsed = (time.perf_counter() - start) * 1000.0
+            self.timings[name] = 0.0 if self.deterministic else round(elapsed, 3)
 
 
 def _print_report(

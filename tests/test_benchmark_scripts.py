@@ -1,7 +1,9 @@
 """Smoke tests for the timing scripts under ``benchmarks/``: they run to the
 end and print every case, so a change to the code they call cannot leave
-them broken unnoticed."""
+them broken unnoticed. ``backend_compare.py`` runs against the compiled
+round of the ``native`` fixture (``conftest.py``)."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,16 @@ def test_primitives_script_runs_every_case():
     assert "tree_round tail-free, fresh" in fresh
     # both replay the same recorded rounds
     assert shared.split()[-2] == fresh.split()[-2] != "0"
+
+
+def test_backend_compare_script_runs_every_case(native, capsys):
+    # the native fixture puts the compiled round where the script imports it
+    path = SCRIPTS / "backend_compare.py"
+    spec = importlib.util.spec_from_file_location("backend_compare", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--repeats", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[:2] for row in rows] == [
+        ["tree_round", name] for name in ("phi_1^3", "psi_1^3", "phi_1^4", "psi_1^4")
+    ]

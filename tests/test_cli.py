@@ -72,13 +72,14 @@ def test_uqw_density_failure_exit_2(tmp_path):
     run("gen", "--family", "clique", "--params", "n=16", "--out", str(k16), check=True)
     proc = run(
         "uqw", "--graph", str(k16), "--A", "all", "--r", "2", "--m", "8",
-        "--s-max", "4",
+        "--s-max", "4", "--deterministic",
     )
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert doc["result"]["failure"] == "density"
     assert len(doc["result"]["certificate"]) == 16
     assert doc["result"]["rounds_completed"] == 0
+    assert doc["timings_ms"] == {"uqw": 0.0}
 
 
 @pytest.fixture()
@@ -93,13 +94,14 @@ def dense_repro(tmp_path):
     return str(path)
 
 
-def assert_density_refusal(proc, message):
+def assert_density_refusal(proc, message, stage):
     assert proc.returncode == 2
     doc = json.loads(proc.stdout)
     assert set(doc["result"]) == {"candidates", "certificate", "failure", "message"}
     assert doc["result"]["failure"] == "density"
     assert doc["result"]["message"] == message
-    assert doc["timings_ms"] == {}
+    # the stage that refused keeps its time
+    assert doc["timings_ms"] == {stage: 0.0}
     assert "verified" not in doc
 
 
@@ -111,7 +113,8 @@ def test_sieve_density_refusal_report(tmp_path, dense_repro, command):
         command, "--graph", dense_repro, "--r", "2", "--k", "5", "--ell", "16",
         *extra, "--deterministic",
     )
-    assert_density_refusal(proc, "deletion set would reach 18 > s_max=16 in round 2")
+    # kernelize's refusal comes from its core stage
+    assert_density_refusal(proc, "deletion set would reach 18 > s_max=16 in round 2", "core")
     assert not kern.exists()
 
 
@@ -137,7 +140,7 @@ def test_cds_fpt_density_refusal_report(tmp_path):
         "solve", "--graph", str(k16), "--problem", "cds-fpt", "--k", "3",
         "--s-max", "2", "--K-threshold", "5", "--deterministic",
     )
-    assert_density_refusal(proc, "deletion set would reach 16 > s_max=2 in round 1")
+    assert_density_refusal(proc, "deletion set would reach 16 > s_max=2 in round 1", "solve")
 
 
 def test_stage_logs_go_to_stderr_only(dense_repro):
