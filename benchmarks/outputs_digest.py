@@ -10,6 +10,8 @@ Runs, with ``--deterministic`` added to every command:
 - one command per remaining report branch: ``core --single``, the brute-force
   ``cds`` solver, ``kernelize --verify`` above the safety bound, a missing
   flag of each ``solve`` problem, and an unreadable ``--graph`` path;
+- two splits at odd radius that reach round 2: ``uqw --r 3`` on the
+  criterion-9 grid and on the 12x12 grid of the README;
 - every command of each ``perfbench`` workload at ``--seed``, from the
   manifest that ``perfbench/workloads.py`` writes when run as a script.
 
@@ -72,11 +74,17 @@ BRANCHES = [
     ["ladder", "--graph", "missing.el", "--max-k", "2"],
 ]
 
-# The inputs of the three lists above, generated first.
+ODD_RADIUS = [
+    ["uqw", "--graph", "g.el", "--A", "all", "--r", "3", "--m", "4"],
+    ["uqw", "--graph", "g12.el", "--A", "all", "--r", "3", "--m", "8"],
+]
+
+# The inputs of the four lists above, generated first.
 INPUTS = [
     ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
     ["gen", "--family", "grid", "--params", "w=9,h=8", "--out", "g72.el"],
+    ["gen", "--family", "grid", "--params", "w=12,h=12", "--out", "g12.el"],
     ["gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
      "--out", "dense.el"],
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
@@ -123,7 +131,7 @@ def main() -> None:
         Path("ids.txt").write_text("0\n1\n2\n7\n")
         for group, commands in (
             ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS),
-            ("branch", BRANCHES),
+            ("branch", BRANCHES), ("odd-radius", ODD_RADIUS),
         ):
             for argv in commands:
                 print(digest_line(cli_main, group, argv + ["--deterministic"]))

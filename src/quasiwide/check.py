@@ -6,14 +6,17 @@ Each check recomputes its claim from the graph with the primitives of
 - :func:`recheck_core`: the sieve's removal log justifies every removal.
 - :func:`verify_drds` / :func:`verify_cds`: a solver's set r-dominates the
   graph (and induces a connected subgraph).
+- :func:`verify_steiner`: an edge set is a tree of G of the claimed cost
+  that spans the terminals.
 - :func:`uqw_verify`: a split's B lies in A, misses S and is r-independent
   in G - S.
 - :func:`check_cds_branch`: on small graphs, every small connected
   dominating set meets the set the FPT solver branches on.
 
-The first four return a bool for the CLI's ``verified`` flags, and the
-sieve checks each split with :func:`uqw_verify`; :func:`check_cds_branch`
-guards a solver step and raises :class:`InternalError`.
+The first five return a bool for the CLI's ``verified`` flags; the sieve
+checks each split with :func:`uqw_verify` and the Steiner solver its tree
+with :func:`verify_steiner`. :func:`check_cds_branch` guards a solver step
+and raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _kernels
 from .errors import InputError, InternalError
-from .graph import Graph, bfs_limited, distance_vectors, induced_connected, is_r_independent
+from .graph import (
+    Graph,
+    bfs_limited,
+    build_graph,
+    distance_vectors,
+    induced_connected,
+    is_r_independent,
+)
 
 if TYPE_CHECKING:
     from .kernelize import CoreConfig, DominationCore
@@ -70,6 +80,21 @@ def verify_cds(g: Graph, solution: set[int]) -> bool:
     return verify_drds(g, solution, 1) and induced_connected(g, solution)
 
 
+def verify_steiner(
+    g: Graph, terminals: Iterable[int], edges: Iterable[tuple[int, int]], cost: int
+) -> bool:
+    """A Steiner tree claim: the edges are distinct edges of G, their count
+    is ``cost`` and one less than the vertices they touch together with the
+    terminals, and those vertices are connected by the edges alone."""
+    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+    if not all(0 <= u < g.n and v in g.adj[u] for u, v in pairs):
+        return False
+    vertices = {v for e in pairs for v in e} | set(terminals)
+    if not len(set(pairs)) == len(pairs) == cost == len(vertices) - 1:
+        return False
+    return induced_connected(build_graph(g.n, pairs), vertices)
+
+
 def uqw_verify(g: Graph, result: UqwResult, A: Sequence[int], r: int) -> bool:
     """Independent recheck: B inside A, disjoint from S, r-independent in
     G - S. Returns False instead of raising on malformed results."""
@@ -110,4 +135,5 @@ __all__ = [
     "uqw_verify",
     "verify_cds",
     "verify_drds",
+    "verify_steiner",
 ]

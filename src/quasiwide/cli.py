@@ -31,7 +31,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .check import recheck_core, uqw_verify, verify_cds, verify_drds
+from .check import recheck_core, uqw_verify, verify_cds, verify_drds, verify_steiner
 from .errors import ConfigError, DensityError, InfeasibleError, InputError
 from .generators import GenSpec, generate
 from .graph import Graph
@@ -164,10 +164,24 @@ def _load_vertex_spec(spec: str, g: Graph) -> list[int]:
     return load_id_list(spec)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_family_flags(args: argparse.Namespace, reads: tuple[str, ...]) -> None:
+    """Refuse the first ``--c`` or ``--seed`` given that the family does not
+    read; the parser keeps no defaults for them."""
+    for name in vars(args):
+        if name in ("c", "seed") and name not in reads:
+            raise InputError(f"--family {args.family} does not read {_flag(name)}")
+
+
 def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
     params = _parse_params(args.params)
     if args.family in ("random_bounded_degree", "random_degenerate"):
-        params.setdefault("seed", args.seed)
+        params.setdefault("seed", getattr(args, "seed", 0))
+    else:
+        _check_family_flags(args, ())
     g = generate(GenSpec(family=args.family, params=params))
     text = edge_list_text(g)
     if args.out:
@@ -277,10 +291,6 @@ _SOLVE_FLAGS = {
 }
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _check_solve_flags(args: argparse.Namespace) -> None:
     """Refuse a missing required flag of the problem, then the first flag of
     the table given that the problem does not read. The parser keeps no
@@ -309,13 +319,12 @@ def cmd_solve(args: argparse.Namespace, run: _Run) -> Outcome:
         with run("solve"):
             edges, cost = dreyfus_wagner(SteinerInstance(g, tuple(terminals)))
         vertices = sorted({v for e in edges for v in e} | set(terminals))
-        ok = len(edges) == cost and set(terminals) <= set(vertices)
         result = {
             "solution": vertices,
             "cost": cost,
             "edges": sorted([list(e) for e in edges]),
         }
-        return result, {"tree": ok}
+        return result, {"tree": verify_steiner(g, terminals, edges, cost)}
 
     run.options.update({name: getattr(args, name) for name in _SOLVE_FLAGS[args.problem][0]})
     with run("solve"):
@@ -340,12 +349,8 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
     if args.family == "grid":
         g = generate(GenSpec(family="grid", params={"w": size, "h": size}))
     elif args.family == "random_degenerate":
-        g = generate(
-            GenSpec(
-                family="random_degenerate",
-                params={"n": size, "c": args.c, "seed": args.seed},
-            )
-        )
+        params = {"n": size, "c": getattr(args, "c", 3), "seed": getattr(args, "seed", 0)}
+        g = generate(GenSpec(family="random_degenerate", params=params))
     else:
         raise InputError(
             f"bench supports grid and random_degenerate, not {args.family!r}"
@@ -370,6 +375,7 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
 
 
 def cmd_bench(args: argparse.Namespace, run: _Run) -> Outcome:
+    _check_family_flags(args, ("c", "seed") if args.family == "random_degenerate" else ())
     sizes = _parse_int_list(args.sizes, "size")
     ks = _parse_int_list(args.ks, "k")
     run.options = {
@@ -428,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated name=value family parameters, e.g. w=5,h=4",
     )
     p.add_argument("--out", default=None, help="edge-list path (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random families")
+    p.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="seed for random families (default 0)"
+    )
 
     p = sub.add_parser("uqw", parents=[common], help="run the wide-set splitter")
     p.add_argument("--graph", required=True)
@@ -498,9 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV path (fresh file per run)")
     p.add_argument("--ell", type=int, default=None, help="core-size threshold")
     p.add_argument(
-        "--c", type=int, default=3, help="degeneracy bound for random_degenerate"
+        "--c",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="random_degenerate only: degeneracy bound (default 3)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for random_degenerate")
+    p.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="random_degenerate only (default 0)"
+    )
     _add_uqw_flags(p)
 
     return parser

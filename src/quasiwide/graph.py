@@ -115,11 +115,6 @@ def _peel(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
     return c
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} outside 0..{g.n - 1}")
-
-
 def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
     """Raise :class:`InputError` naming the first of ``vertices`` that is
     not a vertex of ``g``."""
@@ -131,8 +126,7 @@ def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
 
 def adjacent(g: Graph, u: int, v: int) -> bool:
     """Edge test: whether ``v`` is among the neighbors of ``u``."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
+    check_vertices(g, (u, v))
     return v in g.adj[u]
 
 
@@ -216,8 +210,8 @@ def bfs_limited(
         raise InputError("bfs_limited needs at least one source")
     if depth < 0:
         raise InputError(f"depth must be non-negative, got {depth}")
+    check_vertices(g, src)
     for s in src:
-        _check_vertex(g, s)
         if s in forbidden:
             raise InputError(f"source {s} is in the forbidden set")
     return _layers(g.adj, src, depth, forbidden)[0]
@@ -236,7 +230,7 @@ def distances_from(
     """
     if cap < 0:
         raise InputError(f"cap must be non-negative, got {cap}")
-    _check_vertex(g, source)
+    check_vertices(g, (source,))
     if source in forbidden:
         raise InputError(f"source {source} is in the forbidden set")
     _, layers = _layers(g.adj, [source], cap, forbidden)
@@ -267,11 +261,9 @@ def distance_vectors(
     if cap < 0:
         raise InputError(f"cap must be non-negative, got {cap}")
     maps = [distances_from(g, t, cap) for t in targets]
-    out = {}
-    for v in vertices:
-        _check_vertex(g, v)
-        out[v] = tuple(d.get(v, INF) for d in maps)
-    return out
+    vs = list(vertices)
+    check_vertices(g, vs)
+    return {v: tuple(d.get(v, INF) for d in maps) for v in vs}
 
 
 def is_r_independent(
@@ -286,11 +278,14 @@ def is_r_independent(
     The set must be disjoint from ``forbidden`` (:class:`InputError`
     otherwise). Singletons and the empty set are trivially independent.
 
-    For even ``r = 2h`` one walk grows all radius-h balls together and fails
-    at the first vertex two of them claim. That is exact: a path of length
-    at most 2h in ``G - forbidden`` has a midpoint within h of both ends,
-    and two balls that meet give such a path. Odd ``r`` walks the full
-    radius from each vertex.
+    One walk grows all radius-h balls together, h = r // 2, and fails at
+    the first vertex two of them claim. That is exact for even r = 2h: a
+    path of length at most 2h in ``G - forbidden`` has a midpoint within h
+    of both ends, and two balls that meet give such a path. Odd r = 2h + 1
+    also fails on an edge whose ends have different owners (forbidden
+    vertices have none): a path of length 2h + 1 has an edge whose ends lie
+    within h of its two ends, and disjoint balls make those ends their
+    owners.
     """
     vs = sorted(set(vertices))
     overlap = [v for v in vs if v in forbidden]
@@ -299,15 +294,10 @@ def is_r_independent(
     if r < 0:
         raise InputError(f"radius must be non-negative, got {r}")
     check_vertices(g, vs)
-    if r % 2 == 0:
-        return _claim_balls(g.adj, vs, r // 2, forbidden)[1] is None
-    member = set(vs)
-    for v in vs:
-        reached = bfs_limited(g, [v], r, forbidden=forbidden)
-        reached.discard(v)
-        if reached & member:
-            return False
-    return True
+    owner, clash = _claim_balls(g.adj, vs, r // 2, forbidden)
+    if clash is not None:
+        return False
+    return r % 2 == 0 or all(owner.get(w, o) == o for v, o in owner.items() for w in g.adj[v])
 
 
 def induced_connected(g: Graph, vertices: Iterable[int]) -> bool:

@@ -105,11 +105,12 @@ def find_irrelevant_dominatee(
 
     The window holds the ``ell`` smallest members of Z and doubles up to
     three times when no bucket qualifies (capped at |Z|). The splitter runs
-    at radius 2r; its deletion set S anchors the distance vectors, capped at
-    2r, which come from one capped BFS per anchor (none when S is empty).
-    When |S| exceeds 4, the split is re-requested once with the target size
-    matched to |S|. Returns None when Z is already at or below ``ell`` or no
-    bucket of k + 2 lookalikes shows up. A split that fails
+    at radius 2r, once per window; its deletion set S anchors the distance
+    vectors, capped at 2r, which come from one capped BFS per anchor (none
+    when S is empty). Only the first (k + 2)(2r + 1)^max(|S|, 4) members of
+    the spread set B are bucketed, so a larger S admits a longer cut.
+    Returns None when Z is already at or below ``ell`` or no bucket of
+    k + 2 lookalikes shows up. A split that fails
     :func:`~quasiwide.check.uqw_verify` at radius 2r raises
     :class:`InternalError`.
     """
@@ -125,20 +126,16 @@ def find_irrelevant_dominatee(
     window = ell
     for _ in range(4):
         a = zs[: min(window, len(zs))]
-        m0 = min((k + 2) * (2 * r + 1) ** 4, len(a))
-        res = uqw_split(g, a, 2 * r, m0, cfg.uqw)
-        if len(res.S) > 4:
-            m1 = min((k + 2) * (2 * r + 1) ** len(res.S), len(a))
-            if m1 != m0:
-                res = uqw_split(g, a, 2 * r, m1, cfg.uqw)
+        res = uqw_split(g, a, 2 * r, len(a), cfg.uqw)
         if not uqw_verify(g, res, a, 2 * r):
             raise InternalError(
                 f"splitter returned a set that is not {2 * r}-independent "
                 "outside its deletion set"
             )
         anchors = tuple(sorted(res.S))
+        spread = res.B[: (k + 2) * (2 * r + 1) ** max(len(anchors), 4)]
         buckets: dict[tuple[float, ...], list[int]] = {}
-        for b, vec in distance_vectors(g, res.B, anchors, 2 * r).items():
+        for b, vec in distance_vectors(g, spread, anchors, 2 * r).items():
             buckets.setdefault(vec, []).append(b)
         qualifying = {
             vec: sorted(members)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .check import check_cds_branch
+from .check import check_cds_branch, verify_steiner
 from .errors import ConfigError, InfeasibleError, InputError, InternalError
 from .graph import Graph, bfs_limited, build_graph, induced_connected
 from .uqw import UqwConfig, uqw_split
@@ -114,9 +114,10 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
 
     States are (terminal subset, attachment vertex); subsets are merged at a
     shared vertex and then relaxed one BFS level at a time. Back-pointers
-    reconstruct an edge set which is verified to be a tree of the reported
-    cost spanning all terminals. Terminals in different components raise
-    :class:`InfeasibleError`.
+    reconstruct an edge set, which :func:`~quasiwide.check.verify_steiner`
+    checks to be a tree of G of the reported cost spanning all terminals
+    (:class:`InternalError` otherwise). Terminals in different components
+    raise :class:`InfeasibleError`.
     """
     g = inst.graph
     terms = tuple(sorted(inst.terminals))
@@ -206,23 +207,8 @@ def dreyfus_wagner(inst: SteinerInstance) -> tuple[frozenset[tuple[int, int]], i
             stack.append((sub, v))
             stack.append((mask ^ sub, v))
 
-    vertices = {v for e in edges for v in e} | set(terms)
-    if len(edges) != total or len(edges) != len(vertices) - 1:
-        raise InternalError("reconstructed edge set is not a minimum tree")
-    seen = {next(iter(vertices))}
-    frontier = list(seen)
-    inc: dict[int, list[int]] = {}
-    for u, v in edges:
-        inc.setdefault(u, []).append(v)
-        inc.setdefault(v, []).append(u)
-    while frontier:
-        u = frontier.pop()
-        for w in inc.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if seen != vertices:
-        raise InternalError("reconstructed edge set is disconnected")
+    if not verify_steiner(g, terms, edges, total):
+        raise InternalError("reconstructed edge set is not a tree of the reported cost")
     return frozenset(edges), total
 
 

@@ -1,15 +1,15 @@
 """Wide-set splitter: trade a small deletion set for an r-independent set.
 
 Given a vertex set A and a radius r, :func:`uqw_split` computes a small set S
-and a subset B of A that is r-independent in G - S. It alternates
-indiscernible-subsequence extraction with ball contraction: each round
-extracts a long indiscernible sequence, moves vertices adjacent to more
-than half of it (``THETA``) into S, thins the survivors to pairwise distance
-> 2i, and contracts radius-i balls around them so the next round's
-extraction sees one vertex per ball. After round ceil(r/2) the survivors are
-pairwise more than r apart in G - S. :class:`UqwConfig` sets the two
-parameters that vary: the budget for |S| and the arity of the formula family
-every round extracts with.
+and a subset B of A that is r-independent in G - S. It runs one loop of
+ceil(r/2) rounds. Round i extracts a long indiscernible sequence, moves
+vertices adjacent to more than half of it (``THETA``) into S, and thins the
+survivors to pairwise distance > 2i in G - S. Round i + 1 then extracts on
+the graph that contracts radius-i balls around those survivors, so it sees
+one vertex per ball. Round 1 is the uncontracted case: it extracts on G
+itself from A. After the last round the survivors are pairwise more than r
+apart in G - S. :class:`UqwConfig` sets the two parameters that vary: the
+budget for |S| and the arity of the formula family every round extracts with.
 
 The splitter refuses dense inputs: when S outgrows its budget the offending
 extraction sequence is returned inside a :class:`~quasiwide.errors.DensityError`
@@ -107,11 +107,11 @@ def _prune_spread(g: Graph, seq: Iterable[int], dist: int, forbidden: frozenset[
     return kept
 
 
-def _independent_subsequence(h: Graph, seq: Sequence[int], m: int) -> list[int]:
+def _independent_subsequence(h: Graph, seq: Sequence[int]) -> list[int]:
     """An independent subsequence of ``seq`` in ``h``, via edge-atom
     extraction; if that lands on the clique side of the dichotomy, fall back
     to greedy non-adjacent selection in sequence order."""
-    ext = extract_indiscernible(h, list(seq), delta_k(0), m)
+    ext = extract_indiscernible(h, list(seq), delta_k(0), len(seq))
     if len(ext) >= 2 and ext[1] in h.adj[ext[0]]:
         kept: list[int] = []
         for v in seq:
@@ -127,9 +127,10 @@ def uqw_split(
     """Split A into deletions S and an r-independent-in-(G - S) subset B.
 
     B is a subset of A, disjoint from S, truncated to at most ``m`` elements
-    only at the very end. Raises :class:`DensityError` when S would exceed
-    ``cfg.s_max``, carrying the extraction sequence that witnessed the
-    density.
+    only at the very end; ``m`` changes nothing else, so the split for ``m``
+    is the split for ``len(A)`` with B cut to ``m``. Raises
+    :class:`DensityError` when S would exceed ``cfg.s_max``, carrying the
+    extraction sequence that witnessed the density.
     """
     if cfg is None:
         cfg = UqwConfig()
@@ -147,73 +148,47 @@ def uqw_split(
 
     delta = delta_k(cfg.delta_k)
     logs: list[RoundLog] = []
+    z: set[int] = set()
+    b: list[int] = []
+    # Round 1 extracts on G itself: no vertex is a ball and each stands for
+    # itself. Later rounds extract on a ball contraction of G - S.
+    h, seq, base, is_ball = g, a_sorted, (lambda v: v), (lambda v: False)
+    for i in range(1, math.ceil(r / 2) + 1):
+        if i > 1:
+            if not b:
+                break
+            # Thin the survivors on a ball-contracted graph so only pairwise
+            # distant centers remain, then extract on the rebuilt contraction.
+            con = contract_balls(g, b, i - 1, avoid=frozenset(z))
+            chosen = _independent_subsequence(con.graph, range(len(con.centers)))
+            con = contract_balls(g, [con.centers[c] for c in chosen], i - 1, avoid=frozenset(z))
+            h, seq, base, is_ball = con.graph, list(range(len(con.centers))), con.base, con.is_ball
 
-    # Round 1 works on the input graph directly.
-    extracted = extract_indiscernible(g, a_sorted, delta, m)
-    s_new = _high_adjacency(g, extracted)
-    z: set[int] = set(s_new)
-    if len(z) > cfg.s_max:
-        raise DensityError(
-            f"deletion set would reach {len(z)} > s_max={cfg.s_max} in round 1",
-            certificate=extracted,
-            candidates=z,
-            rounds=logs,
-        )
-    b = _prune_spread(g, (v for v in extracted if v not in z), 2, frozenset(z))
-    logs.append(
-        RoundLog(
-            round=1,
-            len_before=len(a_sorted),
-            len_after=len(extracted),
-            s_added=tuple(sorted(s_new)),
-            survivors=tuple(b),
-            contracted_size=g.n,
-        )
-    )
-    _log.debug(
-        "round 1: |A|=%d extracted=%d |S|=%d |B|=%d", len(a_sorted), len(extracted), len(z), len(b)
-    )
-
-    for i in range(1, math.ceil(r / 2)):
-        if not b:
-            break
-        # Thin the survivors on a ball-contracted graph so only pairwise
-        # distant centers remain, then extract on the rebuilt contraction.
-        con = contract_balls(g, b, i, avoid=frozenset(z))
-        ball_ids = list(range(len(con.centers)))
-        chosen = _independent_subsequence(con.graph, ball_ids, m)
-        centers = [con.centers[h] for h in chosen]
-        con2 = contract_balls(g, centers, i, avoid=frozenset(z))
-
-        seq = list(range(len(con2.centers)))
-        extracted_h = extract_indiscernible(con2.graph, seq, delta, m)
-        heavy = _high_adjacency(con2.graph, extracted_h)
-        s_new = {con2.base(h) for h in heavy if not con2.is_ball(h)}
+        extracted = extract_indiscernible(h, seq, delta, m)
+        s_new = {base(u) for u in _high_adjacency(h, extracted) if not is_ball(u)}
+        cert = [base(u) for u in extracted]
         z_next = z | s_new
-        cert = [con2.base(h) for h in extracted_h]
         if len(z_next) > cfg.s_max:
             raise DensityError(
-                f"deletion set would reach {len(z_next)} > s_max={cfg.s_max} "
-                f"in round {i + 1}",
+                f"deletion set would reach {len(z_next)} > s_max={cfg.s_max} in round {i}",
                 certificate=cert,
                 candidates=z_next,
                 rounds=logs,
             )
         z = z_next
-        b = _prune_spread(g, (v for v in cert if v not in z), 2 * (i + 1), frozenset(z))
+        b = _prune_spread(g, (v for v in cert if v not in z), 2 * i, frozenset(z))
         logs.append(
             RoundLog(
-                round=i + 1,
+                round=i,
                 len_before=len(seq),
-                len_after=len(extracted_h),
+                len_after=len(extracted),
                 s_added=tuple(sorted(s_new)),
                 survivors=tuple(b),
-                contracted_size=con2.graph.n,
+                contracted_size=h.n,
             )
         )
         _log.debug(
-            "round %d: centers=%d extracted=%d |S|=%d |B|=%d contracted_n=%d",
-            i + 1, len(seq), len(extracted_h), len(z), len(b), con2.graph.n,
+            "round %d: |A|=%d extracted=%d |S|=%d |B|=%d", i, len(seq), len(extracted), len(z), len(b)
         )
 
     return UqwResult(S=frozenset(z), B=tuple(b[:m]), rounds=tuple(logs))

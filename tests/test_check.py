@@ -9,7 +9,7 @@ import pytest
 
 import quasiwide
 from quasiwide import check, uqw
-from quasiwide.check import check_cds_branch, verify_cds, verify_drds
+from quasiwide.check import check_cds_branch, verify_cds, verify_drds, verify_steiner
 from quasiwide.errors import InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import build_graph
@@ -30,6 +30,35 @@ def test_verify_drds_and_cds():
     assert not verify_cds(path, {0, 3})
     assert verify_cds(path, {1, 2, 3})
     assert verify_cds(build_graph(0, []), set())
+
+
+def test_verify_steiner():
+    g = generate(GenSpec("grid", {"w": 3, "h": 3}))
+    # the path 0-1-2-5 spans terminals 0 and 5
+    tree = [(0, 1), (1, 2), (2, 5)]
+    assert verify_steiner(g, [0, 5], tree, 3)
+    assert verify_steiner(g, [4], [], 0)
+    # a cycle: the 4-cycle 0-1-4-3 spends four edges on four vertices
+    assert not verify_steiner(g, [0, 4], [(0, 1), (1, 4), (4, 3), (0, 3)], 4)
+    # a forest: two edges on four vertices
+    assert not verify_steiner(g, [0, 5], [(0, 1), (2, 5)], 2)
+    # a non-edge: 0 and 4 are diagonal in the grid
+    assert not verify_steiner(g, [0, 5], [(0, 4), (4, 5)], 2)
+    # a missing terminal: 8 is not on the path
+    assert not verify_steiner(g, [0, 5, 8], tree, 3)
+    # a wrong cost
+    assert not verify_steiner(g, [0, 5], tree, 4)
+    # the same edge twice in both orientations is one edge, not a tree of two
+    assert not verify_steiner(g, [0, 1], [(0, 1), (1, 0)], 2)
+
+
+def test_dreyfus_wagner_raises_on_a_wrong_tree(monkeypatch):
+    from quasiwide import solvers
+    from quasiwide.solvers import SteinerInstance, dreyfus_wagner
+
+    monkeypatch.setattr(solvers, "verify_steiner", lambda *args: False)
+    with pytest.raises(InternalError, match="not a tree of the reported cost"):
+        dreyfus_wagner(SteinerInstance(generate(GenSpec("path", {"n": 4})), (0, 3)))
 
 
 def test_uqw_verify_is_reexported():

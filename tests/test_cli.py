@@ -390,6 +390,26 @@ def test_gen_and_bench_read_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+_GRID_BENCH = ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",
+               "--out", "b.csv"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--family", "grid", "--params", "w=3,h=3", "--seed", "3"], "--seed"),
+    (_GRID_BENCH + ["--seed", "3"], "--seed"),
+    (_GRID_BENCH + ["--c", "2"], "--c"),
+])
+def test_grid_refuses_unread_family_flags(tmp_path, monkeypatch, capsys, argv, flag):
+    from quasiwide.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --family grid does not read {flag}\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
 
 # Each solve problem with the flags it requires, and a value for every flag
 # of solve that some problem reads.

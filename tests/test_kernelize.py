@@ -40,7 +40,7 @@ from quasiwide.kernelize import (
     reduce_dominators,
 )
 from quasiwide.solvers import exact_drds
-from quasiwide.uqw import UqwConfig
+from quasiwide.uqw import UqwConfig, UqwResult
 
 
 def star(p):
@@ -209,6 +209,25 @@ def test_sieve_rejects_a_dependent_spread_set(monkeypatch):
     g = generate(GenSpec("grid", {"w": 8, "h": 8}))
     with pytest.raises(InternalError):
         find_irrelevant_dominatee(g, range(g.n), CoreConfig(r=1, k=1, ell=8))
+
+
+def test_sieve_cuts_b_by_the_size_of_s(monkeypatch):
+    # |S| = 5 lifts the cut from (k + 2)(2r + 1)^4 = 243 to
+    # (k + 2)(2r + 1)^5 = 729 at r = k = 1; on an edgeless graph every
+    # vector to S is the same, so the bucket is the whole cut
+    g = build_graph(1005, [])
+    spread = tuple(range(804, 4, -1))
+    targets = []
+
+    def split_with_five_anchors(g, a, r, m, cfg):
+        targets.append(m)
+        return UqwResult(S=frozenset(range(5)), B=spread[:m], rounds=())
+
+    monkeypatch.setattr(kernelize_module, "uqw_split", split_with_five_anchors)
+    rem = find_irrelevant_dominatee(g, range(g.n), CoreConfig(r=1, k=1, ell=1000))
+    assert targets == [1000]
+    assert rem.anchors == (0, 1, 2, 3, 4)
+    assert rem.bucket == tuple(sorted(spread[:729]))
 
 
 @pytest.mark.parametrize("batch", [True, False])

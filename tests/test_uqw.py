@@ -6,7 +6,11 @@ independent at every radius), and every result is re-checked through
 uqw_verify, which runs an independent BFS-based independence test.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiwide.errors import ConfigError, DensityError, InputError
 from quasiwide.generators import GenSpec, generate
@@ -84,6 +88,51 @@ def test_grid_round_log_and_verify():
     # round 2 picks its centers among round 1 survivors
     assert set(second.survivors) <= set(first.survivors)
     assert second.contracted_size <= first.contracted_size
+
+
+# One graph of every generator family, small enough for delta_k = 4.
+_FAMILY_GRAPHS = [
+    generate(spec)
+    for spec in (
+        GenSpec("grid", {"w": 6, "h": 5}),
+        GenSpec("path", {"n": 14}),
+        GenSpec("cycle", {"n": 13}),
+        GenSpec("star", {"p": 9}),
+        GenSpec("stars", {"k": 3, "p": 4}),
+        GenSpec("random_bounded_degree", {"n": 24, "d": 3, "seed": 2}),
+        GenSpec("random_degenerate", {"n": 24, "c": 2, "seed": 4}),
+        GenSpec("halfgraph", {"k": 6}),
+        GenSpec("clique", {"n": 9}),
+        GenSpec("biclique", {"s": 4, "t": 6}),
+    )
+]
+
+
+def _split_or_refusal(g, a, r, m, cfg):
+    try:
+        return uqw_split(g, a, r, m, cfg)
+    except DensityError as exc:
+        return str(exc), exc.certificate, exc.candidates
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    g=st.sampled_from(_FAMILY_GRAPHS),
+    r=st.integers(1, 5),
+    delta=st.sampled_from([0, 2, 4]),
+    s_max=st.sampled_from([2, 16]),
+    m=st.integers(1, 13),
+)
+def test_target_size_only_cuts_b(data, g, r, delta, s_max, m):
+    # the sieve splits each window once at m = |A| and cuts B itself
+    a = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    cfg = UqwConfig(s_max=s_max, delta_k=delta)
+    full = _split_or_refusal(g, a, r, len(a), cfg)
+    if isinstance(full, tuple):
+        assert _split_or_refusal(g, a, r, m, cfg) == full
+    else:
+        assert uqw_split(g, a, r, m, cfg) == dataclasses.replace(full, B=full.B[:m])
 
 
 def test_result_is_independent_in_g_minus_s():
