@@ -85,8 +85,7 @@ INPUTS = [
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
     ["gen", "--family", "grid", "--params", "w=9,h=8", "--out", "g72.el"],
     ["gen", "--family", "grid", "--params", "w=12,h=12", "--out", "g12.el"],
-    ["gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
-     "--out", "dense.el"],
+    ["gen", "--family", "clique", "--params", "n=40", "--out", "dense.el"],
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
 ]
 

@@ -4,6 +4,9 @@ Each check recomputes its claim from the graph with the primitives of
 :mod:`quasiwide.graph`, never with the search that produced the result:
 
 - :func:`recheck_core`: the sieve's removal log justifies every removal.
+- :func:`recheck_representatives`: the dominator reduction keeps only
+  inclusion-maximal projections and maps every vertex to one containing
+  its own.
 - :func:`verify_drds` / :func:`verify_cds`: a solver's set r-dominates the
   graph (and induces a connected subgraph).
 - :func:`verify_steiner`: an edge set is a tree of G of the claimed cost
@@ -13,7 +16,7 @@ Each check recomputes its claim from the graph with the primitives of
 - :func:`check_cds_branch`: on small graphs, every small connected
   dominating set meets the set the FPT solver branches on.
 
-The first five return a bool for the CLI's ``verified`` flags; the sieve
+The first six return a bool for the CLI's ``verified`` flags; the sieve
 checks each split with :func:`uqw_verify` and the Steiner solver its tree
 with :func:`verify_steiner`. :func:`check_cds_branch` guards a solver step
 and raises :class:`InternalError`.
@@ -36,7 +39,7 @@ from .graph import (
 )
 
 if TYPE_CHECKING:
-    from .kernelize import CoreConfig, DominationCore
+    from .kernelize import CoreConfig, DominationCore, Representatives
     from .uqw import UqwResult
 
 # Largest graph on which check_cds_branch enumerates every candidate set.
@@ -45,25 +48,62 @@ _CDS_BRANCH_BOUND = 14
 
 def recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
     """Structural audit of the sieve log: every removal must cite a bucket of
-    k + 2 lookalikes with identical capped distance vectors, and the final Z
-    must account for exactly the logged removals. Records of one batch share
-    their bucket, so each distinct (anchors, bucket) is checked once, with one
-    capped BFS per anchor."""
+    k + 2 distinct lookalikes that is 2r-independent in G - anchors and has
+    identical capped distance vectors, and the final Z must account for
+    exactly the logged removals. Records of one batch share their bucket, so
+    each distinct (anchors, bucket) is checked once, with one capped BFS per
+    anchor and one walk for the independence."""
     removed = set()
     checked = set()
     for rec in core.removal_log:
-        if len(rec.bucket) < cfg.k + 2 or rec.w not in rec.bucket:
+        if len(set(rec.bucket)) < cfg.k + 2 or rec.w not in rec.bucket:
             return False
         key = (rec.anchors, rec.bucket)
         if key not in checked:
             vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
             if len(set(vectors.values())) != 1:
                 return False
+            # equal vectors keep the distinct members out of the anchors: a
+            # member at distance 0 from an anchor would be that anchor
+            if not is_r_independent(g, rec.bucket, 2 * cfg.r, frozenset(rec.anchors)):
+                return False
             checked.add(key)
         removed.add(rec.w)
     if removed & core.Z:
         return False
     return len(core.Z) + len(removed) == g.n
+
+
+def recheck_representatives(
+    g: Graph, Z: Iterable[int], reps: Representatives, r: int
+) -> bool:
+    """Audit of the dominator reduction: with every vertex's projection
+    recomputed by one BFS from each member of Z, each representative's
+    recorded projection is its own, each vertex's ``class_of`` target is a
+    representative whose projection contains the vertex's own, and no
+    representative's projection is a subset of another's."""
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    for z in set(Z):
+        for v in bfs_limited(g, [z], r):
+            seen[v].add(z)
+    ys = sorted(reps.Y)
+    if sorted(reps.projection) != ys or sorted(reps.class_of) != list(range(g.n)):
+        return False
+    if any(set(reps.projection[y]) != seen[y] for y in ys):
+        return False
+    for v, y in reps.class_of.items():
+        if y not in reps.Y or not seen[v] <= seen[y]:
+            return False
+    # a projection that contains a nonempty one holds its smallest member
+    holders: dict[int, list[int]] = {}
+    for y in ys:
+        for z in seen[y]:
+            holders.setdefault(z, []).append(y)
+    for y in ys:
+        pool = holders[min(seen[y])] if seen[y] else ys
+        if any(x != y and seen[y] <= seen[x] for x in pool):
+            return False
+    return True
 
 
 def verify_drds(g: Graph, solution: set[int], r: int) -> bool:
@@ -132,6 +172,7 @@ def check_cds_branch(g: Graph, k: int, x: Sequence[int], s: Iterable[int]) -> No
 __all__ = [
     "check_cds_branch",
     "recheck_core",
+    "recheck_representatives",
     "uqw_verify",
     "verify_cds",
     "verify_drds",

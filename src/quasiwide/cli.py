@@ -31,7 +31,14 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .check import recheck_core, uqw_verify, verify_cds, verify_drds, verify_steiner
+from .check import (
+    recheck_core,
+    recheck_representatives,
+    uqw_verify,
+    verify_cds,
+    verify_drds,
+    verify_steiner,
+)
 from .errors import ConfigError, DensityError, InfeasibleError, InputError
 from .generators import GenSpec, generate
 from .graph import Graph
@@ -254,6 +261,7 @@ def cmd_kernelize(args: argparse.Namespace, run: _Run) -> Outcome:
     verified = {
         "projection": ker.projection_ok,
         "removals_justified": recheck_core(g, core, cfg),
+        "representatives": recheck_representatives(g, core.Z, reps, cfg.r),
     }
     result = {
         "z_size": len(core.Z),

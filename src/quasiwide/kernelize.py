@@ -11,7 +11,9 @@ The pipeline shrinks an instance (G, r, k) in three stages:
    k + 2 vertices with identical vectors cannot all be dominated separately
    by k dominators, so all but k + 1 of them are redundant.
 2. :func:`reduce_dominators` groups all vertices of G by which part of Z they
-   r-dominate and keeps one representative per class.
+   r-dominate and keeps one representative per inclusion-maximal class:
+   every other vertex reaches a subset of what some representative reaches,
+   and ``class_of`` names that representative.
 3. :func:`build_kernel` assembles a new graph H from copies of Z and the
    representatives, one shortest path of G per (representative, projection
    member) pair, whose inner vertices are shared between pairs and numbered
@@ -196,9 +198,10 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
 
 @dataclass(frozen=True)
 class Representatives:
-    """Dominator reduction: ``Y`` holds one vertex per projection class,
-    ``projection`` maps each representative to the part of Z it r-dominates,
-    and ``class_of`` maps every vertex of G to its representative."""
+    """Dominator reduction: ``Y`` holds one vertex per inclusion-maximal
+    projection class, ``projection`` maps each representative to the part of
+    Z it r-dominates, and ``class_of`` maps every vertex of G to the
+    smallest-id representative whose projection contains the vertex's own."""
 
     Y: frozenset[int]
     projection: Mapping[int, tuple[int, ...]]
@@ -206,30 +209,50 @@ class Representatives:
 
 
 def reduce_dominators(g: Graph, Z: Iterable[int], r: int) -> Representatives:
-    """Group vertices by their r-projection onto Z; smallest id represents.
+    """Group vertices by their r-projection onto Z and keep one
+    representative, the smallest id, per inclusion-maximal class.
 
     The projection of v is the sorted tuple of members of Z within closed
-    distance r of v. An empty graph yields no representatives; an empty Z
-    puts every vertex in one class represented by vertex 0.
+    distance r of v. Classes are visited by decreasing projection size,
+    ties by representative id, and a class is kept unless a kept projection
+    contains its own. Any dominator can thus be swapped for its
+    ``class_of`` representative. An empty graph yields no representatives;
+    an empty Z puts every vertex in one class represented by vertex 0.
     """
     if r < 1:
         raise InputError(f"radius must be positive, got {r}")
     zs = sorted(set(Z))
     check_vertices(g, zs)
     lists: list[list[int]] = [[] for _ in range(g.n)]
-    for z in zs:
+    masks = [0] * g.n
+    for i, z in enumerate(zs):
         for v in bfs_limited(g, [z], r):
             lists[v].append(z)
-    reps: dict[tuple[int, ...], int] = {}
-    class_of: dict[int, int] = {}
+            masks[v] |= 1 << i
+    first: dict[int, int] = {}
     for v in range(g.n):
-        key = tuple(lists[v])
-        if key not in reps:
-            reps[key] = v
-        class_of[v] = reps[key]
-    projection = {rep: key for key, rep in reps.items()}
+        first.setdefault(masks[v], v)
+
+    # Every kept class that contains a class is visited before it. A kept
+    # projection that contains a nonempty one holds its smallest member, so
+    # each kept representative is filed under every member of its projection.
+    rep_of: dict[int, int] = {}
+    kept: list[int] = []
+    holders: dict[int, list[int]] = {}
+    for m, y in sorted(first.items(), key=lambda item: (-len(lists[item[1]]), item[1])):
+        pool = holders.get(lists[y][0], []) if m else kept
+        covering = [x for x in pool if masks[x] | m == masks[x]]
+        if covering:
+            rep_of[m] = min(covering)
+            continue
+        rep_of[m] = y
+        kept.append(y)
+        for z in lists[y]:
+            holders.setdefault(z, []).append(y)
     return Representatives(
-        Y=frozenset(reps.values()), projection=projection, class_of=class_of
+        Y=frozenset(kept),
+        projection={y: tuple(lists[y]) for y in kept},
+        class_of={v: rep_of[masks[v]] for v in range(g.n)},
     )
 
 

@@ -3,13 +3,14 @@
 Given a vertex set A and a radius r, :func:`uqw_split` computes a small set S
 and a subset B of A that is r-independent in G - S. It runs one loop of
 ceil(r/2) rounds. Round i extracts a long indiscernible sequence, moves
-vertices adjacent to more than half of it (``THETA``) into S, and thins the
-survivors to pairwise distance > 2i in G - S. Round i + 1 then extracts on
-the graph that contracts radius-i balls around those survivors, so it sees
-one vertex per ball. Round 1 is the uncontracted case: it extracts on G
-itself from A. After the last round the survivors are pairwise more than r
-apart in G - S. :class:`UqwConfig` sets the two parameters that vary: the
-budget for |S| and the arity of the formula family every round extracts with.
+vertices adjacent to more than half of it (``THETA``) into S unless it has
+fewer than two elements, and thins the survivors to pairwise distance > 2i
+in G - S. Round i + 1 then extracts on the graph that contracts radius-i
+balls around those survivors, so it sees one vertex per ball. Round 1 is
+the uncontracted case: it extracts on G itself from A. After the last round
+the survivors are pairwise more than r apart in G - S. :class:`UqwConfig`
+sets the two parameters that vary: the budget for |S| and the arity of the
+formula family every round extracts with.
 
 The splitter refuses dense inputs: when S outgrows its budget the offending
 extraction sequence is returned inside a :class:`~quasiwide.errors.DensityError`
@@ -165,7 +166,14 @@ def uqw_split(
             h, seq, base, is_ball = con.graph, list(range(len(con.centers))), con.base, con.is_ball
 
         extracted = extract_indiscernible(h, seq, delta, m)
-        s_new = {base(u) for u in _high_adjacency(h, extracted) if not is_ball(u)}
+        # A single extracted vertex witnesses no density: each of its
+        # neighbours is adjacent to all of the extraction. Such a round
+        # deletes nothing.
+        s_new = (
+            {base(u) for u in _high_adjacency(h, extracted) if not is_ball(u)}
+            if len(extracted) >= 2
+            else set()
+        )
         cert = [base(u) for u in extracted]
         z_next = z | s_new
         if len(z_next) > cfg.s_max:

@@ -18,7 +18,8 @@ def test_primitives_script_runs_every_case():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 19
+    assert len(rows) == 20
+    assert "reduce_dominators |Y|=" in rows[-4]
     assert "build_kernel |V(H)|=" in rows[-3]
     shared, fresh = rows[-2:]
     assert "tree_round tail-free, shared" in shared

@@ -2,6 +2,7 @@
 and rejects a corrupted one, and the solver's branching check stays active
 under ``python -O``."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -9,10 +10,18 @@ import pytest
 
 import quasiwide
 from quasiwide import check, uqw
-from quasiwide.check import check_cds_branch, verify_cds, verify_drds, verify_steiner
+from quasiwide.check import (
+    check_cds_branch,
+    recheck_core,
+    recheck_representatives,
+    verify_cds,
+    verify_drds,
+    verify_steiner,
+)
 from quasiwide.errors import InternalError
 from quasiwide.generators import GenSpec, generate
-from quasiwide.graph import build_graph
+from quasiwide.graph import bfs_limited, build_graph
+from quasiwide.kernelize import CoreConfig, DominationCore, Removal, reduce_dominators
 
 
 def star(p):
@@ -59,6 +68,46 @@ def test_dreyfus_wagner_raises_on_a_wrong_tree(monkeypatch):
     monkeypatch.setattr(solvers, "verify_steiner", lambda *args: False)
     with pytest.raises(InternalError, match="not a tree of the reported cost"):
         dreyfus_wagner(SteinerInstance(generate(GenSpec("path", {"n": 4})), (0, 3)))
+
+
+def test_recheck_core_needs_an_independent_bucket():
+    # on a path every vector to no anchors is (), but 0, 1 and 2 are
+    # pairwise within 2r = 2
+    g = generate(GenSpec("path", {"n": 10}))
+    cfg = CoreConfig(r=1, k=1)
+    rec = Removal(w=0, bucket=(0, 1, 2), anchors=())
+    assert not recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
+    rec = Removal(w=0, bucket=(0, 3, 6), anchors=())
+    assert recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
+    # one vertex three times is not three lookalikes
+    rec = Removal(w=0, bucket=(0, 0, 0), anchors=())
+    assert not recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
+
+
+def test_recheck_representatives():
+    g = generate(GenSpec("grid", {"w": 5, "h": 4}))
+    z = [0, 3, 6, 9, 12, 15, 18]
+    reps = reduce_dominators(g, z, 1)
+    assert recheck_representatives(g, z, reps, 1)
+    # a vertex sent to a representative that misses part of its projection
+    v = next(v for v in range(g.n) if v not in reps.Y and v in z)
+    wrong = next(y for y in sorted(reps.Y) if v not in reps.projection[y])
+    class_of = {**reps.class_of, v: wrong}
+    assert not recheck_representatives(g, z, dataclasses.replace(reps, class_of=class_of), 1)
+    # a target that is no representative
+    class_of = {**reps.class_of, v: v}
+    assert not recheck_representatives(g, z, dataclasses.replace(reps, class_of=class_of), 1)
+    # a representative whose projection lies inside another's
+    own = tuple(sorted(set(z) & bfs_limited(g, [v], 1)))
+    assert set(own) < set(reps.projection[reps.class_of[v]])
+    extra = dataclasses.replace(
+        reps, Y=reps.Y | {v}, projection={**reps.projection, v: own}
+    )
+    assert not recheck_representatives(g, z, extra, 1)
+    # a recorded projection that is not the vertex's own
+    y = min(reps.Y)
+    projection = {**reps.projection, y: reps.projection[y][1:]}
+    assert not recheck_representatives(g, z, dataclasses.replace(reps, projection=projection), 1)
 
 
 def test_uqw_verify_is_reexported():

@@ -84,13 +84,22 @@ def test_uqw_density_failure_exit_2(tmp_path):
 
 @pytest.fixture()
 def dense_repro(tmp_path):
-    """A 40-vertex 2-degenerate graph on which the sieve's radius-4 split
-    refuses at the default s_max."""
+    """A 40-vertex 2-degenerate graph, on which the sieve's radius-4 split
+    once refused falsely: its extraction kept one vertex, whose every
+    neighbour then counted as adjacent to more than half of it."""
     path = tmp_path / "repro.el"
     run(
         "gen", "--family", "random_degenerate", "--params", "n=40,c=2,seed=1004",
         "--out", str(path), check=True,
     )
+    return str(path)
+
+
+@pytest.fixture()
+def clique40(tmp_path):
+    """A 40-clique, on which the sieve's split refuses at the default s_max."""
+    path = tmp_path / "k40.el"
+    run("gen", "--family", "clique", "--params", "n=40", "--out", str(path), check=True)
     return str(path)
 
 
@@ -106,32 +115,47 @@ def assert_density_refusal(proc, message, stage):
 
 
 @pytest.mark.parametrize("command", ["core", "kernelize"])
-def test_sieve_density_refusal_report(tmp_path, dense_repro, command):
+def test_sieve_density_refusal_report(tmp_path, clique40, command):
     kern = tmp_path / "k.kern"
     extra = ("--out", str(kern)) if command == "kernelize" else ()
     proc = run(
-        command, "--graph", dense_repro, "--r", "2", "--k", "5", "--ell", "16",
+        command, "--graph", clique40, "--r", "2", "--k", "5", "--ell", "16",
         *extra, "--deterministic",
     )
     # kernelize's refusal comes from its core stage
-    assert_density_refusal(proc, "deletion set would reach 18 > s_max=16 in round 2", "core")
+    assert_density_refusal(proc, "deletion set would reach 40 > s_max=16 in round 1", "core")
     assert not kern.exists()
 
+
+def test_sparse_repro_kernelizes_with_the_right_answer(tmp_path, dense_repro, capsys):
+    from quasiwide.cli import main
+    from quasiwide.io import load_graph
+    from quasiwide.solvers import exact_drds
+
+    kern = tmp_path / "k.kern"
+    assert main(["kernelize", "--graph", dense_repro, "--r", "2", "--k", "5",
+                 "--ell", "16", "--out", str(kern), "--verify", "--deterministic"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(doc["verified"].values())
+    want = exact_drds(load_graph(dense_repro), 2, 5) is not None
+    assert doc["result"]["answer_input"] == doc["result"]["answer_kernel"] == want
 
 
 def test_bench_density_refusal_report(tmp_path, capsys):
     # main turns every refusal into the same report, bench's too (no input
-    # summary: bench generates its graphs)
+    # summary: bench generates its graphs); a 39-degenerate graph on 40
+    # vertices is the 40-clique
     from quasiwide.cli import main
 
     out = tmp_path / "b.csv"
-    assert main(["bench", "--family", "random_degenerate", "--sizes", "40", "--c", "2",
-                 "--seed", "1004", "--r", "2", "--ks", "5", "--ell", "16",
+    assert main(["bench", "--family", "random_degenerate", "--sizes", "40", "--c", "39",
+                 "--seed", "0", "--r", "2", "--ks", "5", "--ell", "16",
                  "--out", str(out), "--deterministic"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"command", "options", "result", "timings_ms"}
-    assert doc["result"]["message"] == "deletion set would reach 18 > s_max=16 in round 2"
+    assert doc["result"]["message"] == "deletion set would reach 40 > s_max=16 in round 1"
     assert not out.exists()
+
 
 def test_cds_fpt_density_refusal_report(tmp_path):
     k16 = tmp_path / "k16.el"
@@ -206,6 +230,7 @@ def test_kernelize_writes_parseable_kernel(tmp_path, grid32):
         "equivalence": True,
         "projection": True,
         "removals_justified": True,
+        "representatives": True,
     }
     assert doc["result"]["k_new"] == 2
     assert doc["result"]["answer_input"] == doc["result"]["answer_kernel"]

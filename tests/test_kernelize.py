@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from kernel_graphs import seeded_graphs
 from quasiwide import _kernels, generators
 from quasiwide import kernelize as kernelize_module
-from quasiwide.check import recheck_core
+from quasiwide.check import recheck_core, recheck_representatives
 from quasiwide.errors import ConfigError, DensityError, InputError, InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import (
@@ -291,23 +291,27 @@ def test_core_soundness_sweep():
 
 
 def test_reduce_dominators_star():
+    # the center sees all of Z, so its class contains every other one
     g = star(10)
     core_z = [0, 1, 2, 10]
     reps = reduce_dominators(g, core_z, 1)
-    assert sorted(reps.Y) == [0, 1, 2, 3, 10]
-    # every vertex maps to a representative with the same Z-projection
+    assert sorted(reps.Y) == [0]
+    assert reps.projection == {0: (0, 1, 2, 10)}
+    # every vertex maps to a representative whose Z-projection contains its own
     for u in range(g.n):
         rep = reps.class_of[u]
         mine = {z for z in core_z if u in distances_from(g, z, 1)}
-        assert set(reps.projection[rep]) == mine
+        assert set(reps.projection[rep]) >= mine
 
 
 def test_reduce_dominators_collapses_twin_leaves():
     # K_{1,5} with Z = the leaves: every leaf sees only itself, the center
-    # sees all of Z, so there are |Z| + 1 = 6 classes
+    # sees all of Z, so of the |Z| + 1 = 6 classes only the center's is
+    # inclusion-maximal
     g = star(5)
     reps = reduce_dominators(g, [1, 2, 3, 4, 5], 1)
-    assert len(reps.Y) == 6
+    assert sorted(reps.Y) == [0]
+    assert all(reps.class_of[u] == 0 for u in range(g.n))
 
 
 def test_reduce_dominators_empty_z():
@@ -320,16 +324,28 @@ def test_reduce_dominators_empty_z():
 def test_kernel_star_frozen():
     g = star(10)
     ki = kernel_pipeline(g, CoreConfig(r=1, k=1, ell=4))[2]
-    assert ki.graph.n == 7
+    # Z = {0, 1, 2, 10}; the center alone represents, and every non-Z
+    # vertex of H is the gadget's own
+    assert ki.graph.n == 6
     assert ki.k_new == 2
     assert ki.projection_ok
-    assert ki.z_ids == {0: 0, 1: 1, 2: 2, 10: 4}
-    assert ki.y_ids == {0: 0, 1: 1, 2: 2, 3: 3, 10: 4}
-    assert (ki.gadget_v, ki.gadget_v_prime) == (5, 6)
+    assert ki.z_ids == {0: 0, 1: 1, 2: 2, 10: 3}
+    assert ki.y_ids == {0: 0}
+    assert (ki.gadget_v, ki.gadget_v_prime) == (4, 5)
     assert ki.gadget_internals == () and ki.path_internals == ()
-    assert sorted(ki.graph.edges()) == [
-        (0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (5, 6),
-    ]
+    assert sorted(ki.graph.edges()) == [(0, 1), (0, 2), (0, 3), (4, 5)]
+
+
+def test_kernel_stars_keeps_one_representative_per_star():
+    # stars(3, 100) at r = 1: each center's projection contains those of
+    # its leaves, so |Y| = 3 (182 with one representative per projection
+    # class, inclusion-maximal or not)
+    g = generate(GenSpec("stars", {"k": 3, "p": 100}))
+    core, reps, ki = kernel_pipeline(g, CoreConfig(r=1, k=3, uqw=UqwConfig(delta_k=2)))
+    assert len(core.Z) == 180
+    assert sorted(reps.Y) == [0, 101, 202]
+    assert ki.graph.n == 180 + 2
+    assert ki.projection_ok
 
 
 def test_kernel_drops_z_z_edges():
@@ -427,6 +443,44 @@ def _property_instances():
         yield g, z, 1 + i % 4
 
 
+def _projections(g, z, r):
+    """Every vertex's r-projection onto z, from a plain BFS per vertex."""
+    zs = set(z)
+    return [
+        {u for u, d in _bfs_distances(g.adj, v).items() if d <= r and u in zs}
+        for v in range(g.n)
+    ]
+
+
+def _reduction_cases():
+    yield from _property_instances()
+    for g in seeded_graphs():
+        yield g, range(0, g.n, 2), 1
+        yield g, range(g.n), 2
+
+
+def test_kept_projections_are_pairwise_incomparable():
+    for g, z, r in _reduction_cases():
+        reps = reduce_dominators(g, z, r)
+        own = _projections(g, z, r)
+        kept = sorted(reps.Y)
+        assert all(set(reps.projection[y]) == own[y] for y in kept)
+        for a, b in itertools.permutations(kept, 2):
+            assert not own[a] <= own[b], (g.n, r, a, b)
+
+
+def test_class_of_targets_contain_the_vertex_projection():
+    for g, z, r in _reduction_cases():
+        reps = reduce_dominators(g, z, r)
+        own = _projections(g, z, r)
+        assert sorted(reps.class_of) == list(range(g.n))
+        for v, y in reps.class_of.items():
+            assert y in reps.Y and own[v] <= own[y], (g.n, r, v)
+            # the smallest-id representative that qualifies
+            assert y == min(x for x in reps.Y if own[v] <= own[x])
+        assert recheck_representatives(g, z, reps, r)
+
+
 def test_kernel_paths_realize_projections_exactly():
     # H's paths are shortest paths of G, so from each y-copy the Z-copies
     # within r are exactly y's projection: the kernel needs no repair step
@@ -457,15 +511,19 @@ def test_kernel_paths_realize_projections_exactly():
 
 
 def test_kernel_gadget_reaches_shared_path_vertices():
-    # P7 at r = 2 with Z = {2, 6}: vertex 4 alone dominates Z. The paths
-    # 0-1-2 and 4-3-2 cross 1 and 3, which are neither in Z nor
-    # representatives, and which 4 does not reach in H; only the gadget
-    # covers them, so H needs it to keep the answer.
-    g = path_graph(7)
-    reps = reduce_dominators(g, [2, 6], 2)
-    ki = build_kernel(g, [2, 6], reps, 2, 1)
-    assert sorted(reps.Y) == [0, 4, 5]
-    assert sorted(ki.p_ids) == [1, 3]
+    # C12 at r = 2 with Z = {0, 4, 8}: the representatives 2, 6 and 10 each
+    # reach two members of Z, and 2 and 6 dominate Z. The paths cross 1, 3,
+    # 5, 7, 9 and 11, which are neither in Z nor representatives; 9 and 11
+    # lie farther than 2 from both 2 and 6 in H, so only the gadget covers
+    # them, and H needs it to keep the answer.
+    g = generate(GenSpec("cycle", {"n": 12}))
+    reps = reduce_dominators(g, [0, 4, 8], 2)
+    ki = build_kernel(g, [0, 4, 8], reps, 2, 2)
+    assert sorted(reps.Y) == [2, 6, 10]
+    assert sorted(ki.p_ids) == [1, 3, 5, 7, 9, 11]
+    near = set(distances_from(ki.graph, ki.y_ids[2], 2))
+    near |= set(distances_from(ki.graph, ki.y_ids[6], 2))
+    assert sorted(v for v, h in ki.p_ids.items() if h not in near) == [9, 11]
     from_v = distances_from(ki.graph, ki.gadget_v, 2)
     assert all(from_v.get(h) == 2 for h in ki.path_internals)
     assert exact_drds(ki.graph, 2, ki.k_new) is not None

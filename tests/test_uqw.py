@@ -35,6 +35,22 @@ def test_star_center_is_deleted():
     assert uqw_verify(g, res, list(range(g.n)), 2)
 
 
+def test_one_vertex_extraction_deletes_nothing():
+    # half of a one-element extraction is any neighbour at all, so such a
+    # round witnessed no density and once sent all 20 leaves into S
+    g = generate(GenSpec("star", {"p": 20}))
+    res = uqw_split(g, [0], 2, 1)
+    assert res.S == frozenset()
+    assert res.B == (0,)
+    # the same guard in round 2, which extracts one ball here and once
+    # refused with 18 candidates
+    g = generate(GenSpec("random_degenerate", {"n": 40, "c": 2, "seed": 1004}))
+    res = uqw_split(g, list(range(40)), 4, 40)
+    assert [(log.len_after, log.s_added) for log in res.rounds] == [(4, ()), (1, ())]
+    assert res.B == (0,)
+    assert uqw_verify(g, res, list(range(40)), 4)
+
+
 def test_disjoint_stars_one_pick_per_component():
     g = generate(GenSpec("stars", {"k": 3, "p": 5}))
     res = uqw_split(g, list(range(g.n)), 2, 6)
