@@ -9,7 +9,8 @@ Runs, with ``--deterministic`` added to every command:
   under ``kernelize``, and ``cds-fpt`` and ``uqw`` refusing a clique;
 - one command per remaining report branch: ``core --single``, the brute-force
   ``cds`` solver, ``kernelize --verify`` above the safety bound, a missing
-  flag of each ``solve`` problem, and an unreadable ``--graph`` path;
+  flag of each ``solve`` problem, an unreadable ``--graph`` path, and a
+  family flag that ``gen`` and ``bench`` refuse for a grid;
 - two splits at odd radius that reach round 2: ``uqw --r 3`` on the
   criterion-9 grid and on the 12x12 grid of the README;
 - every command of each ``perfbench`` workload at ``--seed``, from the
@@ -72,6 +73,9 @@ BRANCHES = [
     ["solve", "--graph", "g.el", "--problem", "cds-fpt"],
     ["solve", "--graph", "g.el", "--problem", "steiner"],
     ["ladder", "--graph", "missing.el", "--max-k", "2"],
+    ["gen", "--family", "grid", "--params", "w=3,h=3", "--seed", "1"],
+    ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",
+     "--out", "refused.csv", "--c", "3"],
 ]
 
 ODD_RADIUS = [

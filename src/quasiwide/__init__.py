@@ -38,7 +38,7 @@ _SOURCES = {
         "domination_core", "find_irrelevant_dominatee", "kernel_pipeline", "reduce_dominators",
     ),
     "logic": (
-        "Delta", "FormulaId", "FormulaKind", "delta_k", "eval_formula",
+        "FormulaId", "FormulaKind", "delta_k", "eval_formula",
         "extract_indiscernible", "is_indiscernible", "ladder_index",
     ),
     "solvers": ("SteinerInstance", "brute_cds", "cds_fpt", "dreyfus_wagner", "exact_drds"),
@@ -62,49 +62,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "Contraction",
-    "CoreConfig",
-    "Delta",
-    "DensityError",
-    "DominationCore",
-    "FormulaId",
-    "FormulaKind",
-    "GenSpec",
-    "Graph",
-    "INF",
-    "InfeasibleError",
-    "InputError",
-    "InternalError",
-    "KernelInstance",
-    "QuasiwideError",
-    "Representatives",
-    "SplitMix64",
-    "SteinerInstance",
-    "UqwConfig",
-    "UqwResult",
-    "adjacent",
-    "bfs_limited",
-    "brute_cds",
-    "build_graph",
-    "build_kernel",
-    "cds_fpt",
-    "contract_balls",
-    "delta_k",
-    "distance_vector",
-    "domination_core",
-    "dreyfus_wagner",
-    "eval_formula",
-    "exact_drds",
-    "extract_indiscernible",
-    "find_irrelevant_dominatee",
-    "generate",
-    "is_indiscernible",
-    "is_r_independent",
-    "kernel_pipeline",
-    "ladder_index",
-    "uqw_split",
-    "uqw_verify",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

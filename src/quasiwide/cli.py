@@ -29,7 +29,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Collection, Iterator, Sequence
 
 from .check import (
     recheck_core,
@@ -175,12 +175,15 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _check_family_flags(args: argparse.Namespace, reads: tuple[str, ...]) -> None:
-    """Refuse the first ``--c`` or ``--seed`` given that the family does not
-    read; the parser keeps no defaults for them."""
+def _refuse_unread(
+    args: argparse.Namespace, flags: Collection[str], reads: Collection[str], owner: str
+) -> None:
+    """Refuse the first of ``flags`` given that ``owner`` does not read. The
+    parser keeps no defaults for these flags, so the namespace holds exactly
+    those given, in command-line order."""
     for name in vars(args):
-        if name in ("c", "seed") and name not in reads:
-            raise InputError(f"--family {args.family} does not read {_flag(name)}")
+        if name in flags and name not in reads:
+            raise InputError(f"{owner} does not read {_flag(name)}")
 
 
 def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
@@ -188,7 +191,7 @@ def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
     if args.family in ("random_bounded_degree", "random_degenerate"):
         params.setdefault("seed", getattr(args, "seed", 0))
     else:
-        _check_family_flags(args, ())
+        _refuse_unread(args, ("seed",), (), f"--family {args.family}")
     g = generate(GenSpec(family=args.family, params=params))
     text = edge_list_text(g)
     if args.out:
@@ -301,19 +304,14 @@ _SOLVE_FLAGS = {
 
 def _check_solve_flags(args: argparse.Namespace) -> None:
     """Refuse a missing required flag of the problem, then the first flag of
-    the table given that the problem does not read. The parser keeps no
-    defaults for these flags, so the namespace holds exactly those given,
-    in command-line order."""
+    the table given that the problem does not read."""
     required, reads = _SOLVE_FLAGS[args.problem]
-    given = vars(args)
-    if not all(name in given for name in required):
+    if not all(name in vars(args) for name in required):
         verb = "is" if len(required) == 1 else "are"
         names = " and ".join(map(_flag, required))
         raise InputError(f"{names} {verb} required for the {args.problem} problem")
     table = {name for flags in _SOLVE_FLAGS.values() for names in flags for name in names}
-    for name in given:
-        if name in table and name not in required + reads:
-            raise InputError(f"--problem {args.problem} does not read {_flag(name)}")
+    _refuse_unread(args, table, required + reads, f"--problem {args.problem}")
 
 
 def cmd_solve(args: argparse.Namespace, run: _Run) -> Outcome:
@@ -377,13 +375,15 @@ def _bench_cell(args: argparse.Namespace, size: int, k: int) -> dict[str, Any]:
         "t_core_ms": stages.timings["core"],
         "t_reduce_ms": stages.timings["reduce"],
         "t_build_ms": stages.timings["build"],
-        "verified": recheck_core(g, core, cfg),
+        "verified": recheck_core(g, core, cfg)
+        and recheck_representatives(g, core.Z, reps, cfg.r),
         "projection_ok": ker.projection_ok,
     }
 
 
 def cmd_bench(args: argparse.Namespace, run: _Run) -> Outcome:
-    _check_family_flags(args, ("c", "seed") if args.family == "random_degenerate" else ())
+    reads = ("c", "seed") if args.family == "random_degenerate" else ()
+    _refuse_unread(args, ("c", "seed"), reads, f"--family {args.family}")
     sizes = _parse_int_list(args.sizes, "size")
     ks = _parse_int_list(args.ks, "k")
     run.options = {
@@ -419,6 +419,13 @@ def _add_uqw_flags(parser: argparse.ArgumentParser) -> None:
         default=argparse.SUPPRESS,
         help="formula arity of every splitter round",
     )
+
+
+def _add_core_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", required=True)
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--ell", type=int, default=None, help="core-size threshold")
 
 
 @functools.cache
@@ -466,20 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, required=True)
 
     p = sub.add_parser("core", parents=[common], help="compute the domination core")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None, help="core-size threshold")
+    _add_core_flags(p)
     p.add_argument(
         "--single", action="store_true", help="remove one vertex per round"
     )
     _add_uqw_flags(p)
 
     p = sub.add_parser("kernelize", parents=[common], help="build the kernel")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None, help="core-size threshold")
+    _add_core_flags(p)
     p.add_argument("--out", required=True, help="kernel file path")
     p.add_argument(
         "--verify",

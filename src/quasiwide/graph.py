@@ -14,8 +14,9 @@ Conventions:
   (``math.inf``), which keeps capped distance vectors hashable.
 - Deleted-set arguments (``forbidden``, ``avoid``) emulate the subgraph
   ``G - S`` without copying the graph.
-- Every distance traversal walks layer by layer: one set of reached
-  vertices and a list per layer, in the order a FIFO queue would visit them.
+- Every traversal, the connectivity check included, walks layer by layer:
+  one set of reached vertices and a list per layer, in the order a FIFO
+  queue would visit them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -306,16 +307,7 @@ def induced_connected(g: Graph, vertices: Iterable[int]) -> bool:
     vs = set(vertices)
     if len(vs) <= 1:
         return True
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
+    return _layers(g.adj, [min(vs)], len(vs), set(range(g.n)) - vs)[0] == vs
 
 
 @dataclass(eq=False)
@@ -325,14 +317,13 @@ class Contraction:
 
     H-vertices ``0..len(centers)-1`` are the contracted balls in ascending
     center order; the rest are surviving original vertices in ascending id
-    order. ``h_of`` maps every non-dropped original vertex to its H-vertex
-    (ball members map to their ball).
+    order; ``base`` maps an H-vertex back to the original vertex it stands
+    for.
     """
 
     graph: Graph
     centers: tuple[int, ...]
     singletons: tuple[int, ...]
-    h_of: Mapping[int, int]
 
     def is_ball(self, h: int) -> bool:
         return h < len(self.centers)
@@ -377,27 +368,18 @@ def contract_balls(
         raise InputError(f"balls of centers {a} and {b} overlap at vertex {w}")
 
     singles = tuple(v for v in range(g.n) if v not in owner and v not in avoid)
-    h_of: dict[int, int] = {}
     ball_index = {center: i for i, center in enumerate(cs)}
-    for v, center in owner.items():
-        h_of[v] = ball_index[center]
-    for j, v in enumerate(singles):
-        h_of[v] = len(cs) + j
+    h_of = {v: ball_index[center] for v, center in owner.items()}
+    h_of.update((v, len(cs) + j) for j, v in enumerate(singles))
 
     h_n = len(cs) + len(singles)
     h_edges: set[tuple[int, int]] = set()
     for u, v in g.edges():
-        hu = h_of.get(u)
-        hv = h_of.get(v)
+        hu, hv = h_of.get(u), h_of.get(v)
         if hu is None or hv is None or hu == hv:
             continue
         h_edges.add((hu, hv) if hu < hv else (hv, hu))
-    return Contraction(
-        graph=build_graph(h_n, sorted(h_edges)),
-        centers=tuple(cs),
-        singletons=singles,
-        h_of=h_of,
-    )
+    return Contraction(build_graph(h_n, h_edges), tuple(cs), singles)
 
 
 def adjacency_bitsets(g: Graph) -> list[int]:

@@ -79,13 +79,16 @@ def parse_id_list(text: str) -> list[int]:
     return ids
 
 
-def load_id_list(path: str | Path) -> list[int]:
+def _read(path: str | Path) -> str:
     p = Path(path)
     try:
-        text = p.read_text()
+        return p.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from None
-    return parse_id_list(text)
+
+
+def load_id_list(path: str | Path) -> list[int]:
+    return parse_id_list(_read(path))
 
 
 def graph_from_text(text: str) -> Graph:
@@ -94,12 +97,7 @@ def graph_from_text(text: str) -> Graph:
 
 
 def load_graph(path: str | Path) -> Graph:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {p}: {exc}") from None
-    return graph_from_text(text)
+    return graph_from_text(_read(path))
 
 
 def edge_list_text(g: Graph) -> str:

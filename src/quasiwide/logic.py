@@ -9,7 +9,8 @@ the edge atom plus two mirrored families of single-quantifier formulas:
                      non-adjacent to x_1..x_i
 
 Adjacency here is the open edge relation: no vertex is adjacent to itself,
-and the witness ``y`` ranges over all vertices.
+and the witness ``y`` ranges over all vertices. A formula set is a plain
+tuple of :class:`FormulaId`; :func:`delta_k` builds the standard one.
 
 A sequence is indiscernible for a formula set when every formula evaluates
 identically on all increasing argument tuples drawn from it.
@@ -69,18 +70,7 @@ class FormulaId:
 EDGE_FORMULA = FormulaId(FormulaKind.EDGE, 0, 2)
 
 
-@dataclass(frozen=True)
-class Delta:
-    """An ordered, duplicate-free formula set."""
-
-    formulas: tuple[FormulaId, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.formulas)) != len(self.formulas):
-            raise InputError("duplicate formulas in Delta")
-
-
-def delta_k(k: int) -> Delta:
+def delta_k(k: int) -> tuple[FormulaId, ...]:
     """The standard family: edge atom, then phi_1..phi_k, then psi_1..psi_k.
 
     ``k = 0`` gives the edge atom alone.
@@ -90,7 +80,7 @@ def delta_k(k: int) -> Delta:
     formulas = [EDGE_FORMULA]
     formulas.extend(FormulaId(FormulaKind.PHI, i, k) for i in range(1, k + 1))
     formulas.extend(FormulaId(FormulaKind.PSI, i, k) for i in range(1, k + 1))
-    return Delta(formulas=tuple(formulas))
+    return tuple(formulas)
 
 
 def eval_formula(g: Graph, f: FormulaId, args: Sequence[int]) -> bool:
@@ -120,7 +110,7 @@ def _eval_reference(adjsets: list[set[int]], n: int, f: FormulaId, args: Sequenc
     return False
 
 
-def is_indiscernible(g: Graph, seq: Sequence[int], delta: Delta) -> bool:
+def is_indiscernible(g: Graph, seq: Sequence[int], delta: Sequence[FormulaId]) -> bool:
     """Brute-force oracle: every formula agrees on all increasing tuples.
 
     Sequences shorter than a formula's arity are vacuously fine for it; a
@@ -134,7 +124,7 @@ def is_indiscernible(g: Graph, seq: Sequence[int], delta: Delta) -> bool:
         raise InputError("sequence elements must be distinct")
     check_vertices(g, seq)
     adjsets = [set(a) for a in g.adj]
-    for f in delta.formulas:
+    for f in delta:
         if len(seq) < f.k:
             continue
         reference: bool | None = None
@@ -148,7 +138,7 @@ def is_indiscernible(g: Graph, seq: Sequence[int], delta: Delta) -> bool:
 
 
 def extract_indiscernible(
-    g: Graph, seq: Sequence[int], delta: Delta, m: int
+    g: Graph, seq: Sequence[int], delta: Sequence[FormulaId], m: int
 ) -> list[int]:
     """Extract an indiscernible subsequence via type-tree refinement.
 
@@ -169,7 +159,7 @@ def extract_indiscernible(
     if len(set(cur)) != len(cur):
         raise InputError("sequence elements must be distinct")
     check_vertices(g, cur)
-    for f in delta.formulas:
+    for f in delta:
         if len(cur) <= f.k:
             continue
         for fixed in range(f.k):
@@ -196,34 +186,22 @@ def ladder_index(g: Graph, max_k: int) -> int:
     n = g.n
     best = 0
 
-    def dfs(vs: list[int], ws: list[int], v_used: int, w_used: int, w_mask: int, v_all: int) -> bool:
-        # w_mask / v_all: singleton bits of the placed w's resp. v's.
+    def dfs(t: int, v_mask: int, w_mask: int) -> bool:
+        # v_mask / w_mask: singleton bits of the t placed v's resp. w's.
         nonlocal best
-        t = len(vs)
         best = max(best, t)
         if t == max_k:
             return True
         for v in range(n):
-            if (v_used >> v) & 1:
-                continue
-            if bits[v] & w_mask:
-                continue  # must be non-adjacent to all earlier w's
-            need = v_all | (1 << v)
+            if (v_mask >> v) & 1 or bits[v] & w_mask:
+                continue  # placed, or adjacent to an earlier w
+            need = v_mask | (1 << v)
             for w in range(n):
-                if (w_used >> w) & 1:
-                    continue
-                if bits[w] & need != need:
-                    continue  # must be adjacent to every v placed so far
-                if dfs(
-                    vs + [v],
-                    ws + [w],
-                    v_used | (1 << v),
-                    w_used | (1 << w),
-                    w_mask | (1 << w),
-                    need,
-                ):
+                if (w_mask >> w) & 1 or bits[w] & need != need:
+                    continue  # placed, or not adjacent to every v so far
+                if dfs(t + 1, need, w_mask | (1 << w)):
                     return True
         return False
 
-    dfs([], [], 0, 0, 0, 0)
+    dfs(0, 0, 0)
     return best

@@ -313,6 +313,30 @@ def test_bench_csv_shape(tmp_path):
         assert fields[-2:] == ["true", "true"]
 
 
+def test_bench_verified_reads_the_representatives(monkeypatch, tmp_path, capsys):
+    # a class_of that points a representative at another one, which does
+    # not cover its projection, must fail the row's verified column
+    from dataclasses import replace
+
+    from quasiwide import cli, kernelize
+
+    real = kernelize.reduce_dominators
+
+    def misdirected(g, Z, r):
+        reps = real(g, Z, r)
+        a, b = sorted(y for y in reps.Y if reps.projection[y])[:2]
+        return replace(reps, class_of={**reps.class_of, a: b})
+
+    argv = ["bench", "--family", "grid", "--sizes", "5", "--r", "1", "--ks", "2",
+            "--ell", "8", "--out", str(tmp_path / "b.csv"), "--deterministic"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines()[1].endswith(",true,true")
+    monkeypatch.setattr(kernelize, "reduce_dominators", misdirected)
+    assert cli.main(argv) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines()[1].endswith(",false,true")
+    capsys.readouterr()
+
+
 def test_deterministic_rerun_is_byte_identical(tmp_path, grid32):
     argv = [
         "kernelize", "--graph", grid32, "--r", "1", "--k", "2", "--ell", "5",

@@ -110,7 +110,9 @@ def test_contract_balls_path():
     assert sorted(con.graph.edges()) == [(0, 2), (1, 2)]
     assert con.base(0) == 0 and con.base(2) == 2
     assert con.is_ball(1) and not con.is_ball(2)
-    assert con.h_of[1] == 0 and con.h_of[3] == 1
+    # 1 and 3 joined the balls of 0 and 4: their edges to 2 are the minor's
+    assert [con.base(h) for h in range(con.graph.n)] == [0, 4, 2]
+    assert con.graph.adj[0] == con.graph.adj[1] == (2,)
 
 
 def test_contract_balls_overlap_rejected():
@@ -122,7 +124,8 @@ def test_contract_balls_overlap_rejected():
 def test_contract_balls_avoid_dropped():
     g = path_graph(5)
     con = contract_balls(g, [0, 4], 2, frozenset({2}))
-    assert 2 not in con.h_of
+    # no H-vertex stands for the avoided vertex 2
+    assert [con.base(h) for h in range(con.graph.n)] == [0, 4]
     assert con.graph.n == 2
     assert con.graph.m == 0
 

@@ -3,8 +3,9 @@ each against the straightforward code it replaced.
 
 The references are a deque BFS with a distance dict (``bfs_limited`` and
 ``distances_from``), one full-radius BFS per member (``is_r_independent``),
-one full-radius BFS per candidate (``uqw._prune_spread``) and the eager
-minimum-degree peel ``build_graph`` used to run on every graph.
+one full-radius BFS per candidate (``uqw._prune_spread``), a stack DFS
+inside the vertex set (``induced_connected``) and the eager minimum-degree
+peel ``build_graph`` used to run on every graph.
 """
 
 import heapq
@@ -29,6 +30,7 @@ from quasiwide.graph import (
     distance_vector,
     distance_vectors,
     distances_from,
+    induced_connected,
     is_r_independent,
 )
 from quasiwide.io import save_graph
@@ -70,6 +72,22 @@ def reference_prune_spread(g, seq, dist, forbidden):
         if reach.isdisjoint(kept):
             kept.append(v)
     return kept
+
+
+def reference_induced_connected(g, vertices):
+    vs = set(vertices)
+    if len(vs) <= 1:
+        return True
+    start = min(vs)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
 
 
 def reference_peel(g):
@@ -191,6 +209,21 @@ def test_prune_spread_matches_per_candidate_walks():
                     assert _prune_spread(g, rest, dist, forbidden) == want
 
 
+def test_induced_connected_matches_stack_dfs():
+    rng = random.Random(6)
+    for g in _graphs():
+        for size in range(g.n + 1):
+            members = rng.sample(range(g.n), size)
+            want = reference_induced_connected(g, members)
+            assert induced_connected(g, members) == want, (g.n, members)
+            ball = bfs_limited(g, members[:1], 2) if members else set()
+            assert induced_connected(g, ball) == reference_induced_connected(g, ball)
+    g = build_graph(9, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)])
+    assert induced_connected(g, []) and induced_connected(g, [3])
+    assert induced_connected(g, [6, 7, 8]) and induced_connected(g, [0, 1, 2])
+    assert not induced_connected(g, [0, 1, 4, 5]) and not induced_connected(g, [0, 2])
+
+
 def test_walker_error_cases():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     for r in (2, 3):
@@ -236,6 +269,7 @@ def test_walkers_match_references_on_random_graphs(case):
     seq = [v for v in range(g.n) if v not in forbidden]
     assert _prune_spread(g, seq, r, forbidden) == reference_prune_spread(
         g, seq, r, forbidden)
+    assert induced_connected(g, seq) == reference_induced_connected(g, seq)
 
 
 def test_lazy_peel_matches_eager_peel():

@@ -5,6 +5,8 @@ witness-scan oracle before the tree implementation existed; the oracle
 itself is exercised on everything the extractor emits.
 """
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import build_graph
 from quasiwide.logic import (
     EDGE_FORMULA,
-    Delta,
     FormulaId,
     FormulaKind,
     delta_k,
@@ -24,7 +25,7 @@ from quasiwide.logic import (
     ladder_index,
 )
 
-EDGE_ONLY = Delta(formulas=(EDGE_FORMULA,))
+EDGE_ONLY = (EDGE_FORMULA,)
 
 
 def triangle():
@@ -52,8 +53,8 @@ def test_formula_id_validation():
 
 def test_delta_k_contents():
     d = delta_k(2)
-    assert len(d.formulas) == 5
-    assert delta_k(0).formulas == (EDGE_FORMULA,)
+    assert len(d) == 5
+    assert delta_k(0) == (EDGE_FORMULA,)
     with pytest.raises(InputError):
         delta_k(-1)
 
@@ -183,6 +184,22 @@ def test_phi_psi_reversal(gs, i):
     assert eval_formula(g, phi, args) == eval_formula(g, psi, tuple(reversed(args)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    at=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_repeated_formula_changes_no_extraction(seed, at, data):
+    # a formula's second copy sees a sequence already indiscernible for it
+    g = generate(GenSpec("random_degenerate", {"n": 30, "c": 2, "seed": seed}))
+    delta = delta_k(2)
+    where = data.draw(st.integers(min_value=at + 1, max_value=len(delta)))
+    repeated = delta[:where] + (delta[at],) + delta[where:]
+    seq = list(range(g.n))
+    assert extract_indiscernible(g, seq, repeated, 4) == extract_indiscernible(g, seq, delta, 4)
+
+
 def test_wideness_dichotomy_on_forests():
     """On a forest, any vertex is adjacent to nearly none or nearly all of a
     long extracted 2-indiscernible sequence."""
@@ -207,6 +224,28 @@ def test_ladder_known_values():
     for k in (1, 2, 3, 4):
         g = generate(GenSpec("halfgraph", {"k": k}))
         assert ladder_index(g, k + 2) == k
+
+
+def reference_ladder_index(g, max_k):
+    """Largest k <= max_k with rows v, w of distinct vertices and
+    edge(v_i, w_j) iff i <= j, by trying every pair of rows."""
+    for k in range(max_k, 0, -1):
+        for v in permutations(range(g.n), k):
+            for w in permutations(range(g.n), k):
+                if all((w[j] in g.adj[v[i]]) == (i <= j) for i in range(k) for j in range(k)):
+                    return k
+    return 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=21),
+    max_k=st.integers(min_value=1, max_value=3),
+)
+def test_ladder_matches_brute_force(n, edges, max_k):
+    g = build_graph(n, [(u % n, v % n) for u, v in edges])
+    assert ladder_index(g, max_k) == reference_ladder_index(g, max_k)
 
 
 def test_ladder_cap():
