@@ -13,6 +13,9 @@ Runs, with ``--deterministic`` added to every command:
   family flag that ``gen`` and ``bench`` refuse for a grid;
 - two splits at odd radius that reach round 2: ``uqw --r 3`` on the
   criterion-9 grid and on the 12x12 grid of the README;
+- among the inputs, ``core`` on the 12x12 grid in batch and single mode,
+  whose sieves remove vertices (the criterion-9 ``core`` lines remove
+  none), and a ``gen`` given both ``--seed`` and ``--params seed=``;
 - every command of each ``perfbench`` workload at ``--seed``, from the
   manifest that ``perfbench/workloads.py`` writes when run as a script.
 
@@ -83,12 +86,17 @@ ODD_RADIUS = [
     ["uqw", "--graph", "g12.el", "--A", "all", "--r", "3", "--m", "8"],
 ]
 
-# The inputs of the four lists above, generated first.
+# The inputs of the four lists above, generated first, and after the 12x12
+# grid the two ``core`` runs that pin the sieve's ``removed`` list and a
+# ``gen`` given two seeds.
 INPUTS = [
     ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
     ["gen", "--family", "grid", "--params", "w=9,h=8", "--out", "g72.el"],
     ["gen", "--family", "grid", "--params", "w=12,h=12", "--out", "g12.el"],
+    ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20"],
+    ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20", "--single"],
+    ["gen", "--family", "random_degenerate", "--params", "n=6,c=2,seed=5", "--seed", "7"],
     ["gen", "--family", "clique", "--params", "n=40", "--out", "dense.el"],
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
 ]

@@ -3,7 +3,8 @@
 Each check recomputes its claim from the graph with the primitives of
 :mod:`quasiwide.graph`, never with the search that produced the result:
 
-- :func:`recheck_core`: the sieve's removal log justifies every removal.
+- :func:`recheck_core`: replaying the sieve's removal log from Z = V(G)
+  justifies every removal and ends on the core's Z.
 - :func:`recheck_representatives`: the dominator reduction keeps only
   inclusion-maximal projections and maps every vertex to one containing
   its own.
@@ -47,31 +48,30 @@ _CDS_BRANCH_BOUND = 14
 
 
 def recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
-    """Structural audit of the sieve log: every removal must cite a bucket of
-    k + 2 distinct lookalikes that is 2r-independent in G - anchors and has
-    identical capped distance vectors, and the final Z must account for
-    exactly the logged removals. Records of one batch share their bucket, so
-    each distinct (anchors, bucket) is checked once, with one capped BFS per
+    """Replay of the sieve log from Z = V(G): each record's bucket must hold
+    k + 2 distinct lookalikes still in Z, 2r-independent in G - anchors with
+    identical capped distance vectors; its ``removed`` must be distinct
+    bucket members that leave k + 1 of them in Z. Z then loses them, and the
+    replayed Z must equal the core's. Each record costs one capped BFS per
     anchor and one walk for the independence."""
-    removed = set()
-    checked = set()
+    z = set(range(g.n))
     for rec in core.removal_log:
-        if len(set(rec.bucket)) < cfg.k + 2 or rec.w not in rec.bucket:
+        bucket, removed = set(rec.bucket), set(rec.removed)
+        if len(bucket) != len(rec.bucket) or len(removed) != len(rec.removed):
             return False
-        key = (rec.anchors, rec.bucket)
-        if key not in checked:
-            vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
-            if len(set(vectors.values())) != 1:
-                return False
-            # equal vectors keep the distinct members out of the anchors: a
-            # member at distance 0 from an anchor would be that anchor
-            if not is_r_independent(g, rec.bucket, 2 * cfg.r, frozenset(rec.anchors)):
-                return False
-            checked.add(key)
-        removed.add(rec.w)
-    if removed & core.Z:
-        return False
-    return len(core.Z) + len(removed) == g.n
+        if len(bucket) < cfg.k + 2 or not removed <= bucket <= z:
+            return False
+        if len(bucket) - len(removed) < cfg.k + 1:
+            return False
+        vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
+        if len(set(vectors.values())) != 1:
+            return False
+        # equal vectors keep the distinct members out of the anchors: a
+        # member at distance 0 from an anchor would be that anchor
+        if not is_r_independent(g, rec.bucket, 2 * cfg.r, frozenset(rec.anchors)):
+            return False
+        z -= removed
+    return z == core.Z
 
 
 def recheck_representatives(

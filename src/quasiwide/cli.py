@@ -189,6 +189,8 @@ def _refuse_unread(
 def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
     params = _parse_params(args.params)
     if args.family in ("random_bounded_degree", "random_degenerate"):
+        if "seed" in params and "seed" in vars(args):
+            raise InputError("--seed and --params seed= are both given")
         params.setdefault("seed", getattr(args, "seed", 0))
     else:
         _refuse_unread(args, ("seed",), (), f"--family {args.family}")
@@ -247,7 +249,7 @@ def cmd_core(args: argparse.Namespace, run: _Run) -> Outcome:
     result = {
         "Z": sorted(core.Z),
         "z_size": len(core.Z),
-        "removed": sorted(rec.w for rec in core.removal_log),
+        "removed": sorted(w for rec in core.removal_log for w in rec.removed),
     }
     if len(core.Z) == g.n:
         result["note"] = _NO_SHRINKAGE

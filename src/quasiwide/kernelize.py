@@ -22,8 +22,10 @@ The pipeline shrinks an instance (G, r, k) in three stages:
 
 :func:`kernel_pipeline` runs the three in order.
 
-Stage outputs carry enough bookkeeping (removal log, projections, id maps)
-for every claim to be re-checked by the tests.
+Stage outputs carry enough bookkeeping for every claim to be re-checked:
+the removal log holds one record per sieve split, which
+:func:`~quasiwide.check.recheck_core` replays from Z = V(G); the
+representatives carry their projections, and the kernel its id maps.
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class Removal:
-    """A justified removal: ``w`` is a member of a ``bucket`` of at least
-    k + 2 vertices sharing one capped distance vector to the ``anchors``.
+    """One sieve split's justified removal: the ``removed`` vertices are
+    members of a ``bucket`` of at least k + 2 vertices sharing one capped
+    distance vector to the ``anchors``, and at least k + 1 members stay.
 
     :func:`find_irrelevant_dominatee` proposes the bucket's smallest member;
-    :func:`domination_core` logs one per deleted vertex, with ``w`` set to
-    that vertex."""
+    :func:`domination_core` logs one record per split, with ``removed`` set
+    to the vertices it deleted."""
 
-    w: int
+    removed: tuple[int, ...]
     bucket: tuple[int, ...]
     anchors: tuple[int, ...]
 
@@ -127,7 +130,7 @@ def find_irrelevant_dominatee(
     k, r = cfg.k, cfg.r
     window = ell
     for _ in range(4):
-        a = zs[: min(window, len(zs))]
+        a = zs[:window]
         res = uqw_split(g, a, 2 * r, len(a), cfg.uqw)
         if not uqw_verify(g, res, a, 2 * r):
             raise InternalError(
@@ -139,17 +142,12 @@ def find_irrelevant_dominatee(
         buckets: dict[tuple[float, ...], list[int]] = {}
         for b, vec in distance_vectors(g, spread, anchors, 2 * r).items():
             buckets.setdefault(vec, []).append(b)
-        qualifying = {
-            vec: sorted(members)
-            for vec, members in buckets.items()
-            if len(members) >= k + 2
-        }
-        if qualifying:
-            # Deterministic pick: the qualifying bucket holding the smallest
-            # vertex id.
-            vec = min(qualifying, key=lambda v: qualifying[v][0])
-            bucket = tuple(qualifying[vec])
-            return Removal(w=bucket[0], bucket=bucket, anchors=anchors)
+        # Buckets are disjoint, so the least sorted one holds the smallest id.
+        bucket = min(
+            (sorted(m) for m in buckets.values() if len(m) >= k + 2), default=None
+        )
+        if bucket is not None:
+            return Removal(removed=(bucket[0],), bucket=tuple(bucket), anchors=anchors)
         if len(a) == len(zs):
             break
         window *= 2
@@ -174,7 +172,8 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
     largest members at once (largest first), except that Z is never cut
     below ``ell``, so the core lands exactly on the threshold when the
     bucket is big enough. Single mode deletes only the smallest bucket
-    member per round. Every deletion is logged with its justification.
+    member per round. Each split is logged as one :class:`Removal` naming
+    the vertices it deleted.
     """
     z = _SortedZ(range(g.n))
     log: list[Removal] = []
@@ -186,13 +185,11 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
         if batch:
             excess = len(rem.bucket) - (cfg.k + 1)
             dd = min(excess, len(z) - ell)
-            removed: tuple[int, ...] = tuple(reversed(rem.bucket[-dd:]))
-        else:
-            removed = (rem.w,)
-        for w in removed:
-            log.append(replace(rem, w=w))
+            rem = replace(rem, removed=tuple(reversed(rem.bucket[-dd:])))
+        log.append(rem)
+        for w in rem.removed:
             del z[bisect_left(z, w)]
-        _log.debug("removed %d dominatee(s), |Z|=%d", len(removed), len(z))
+        _log.debug("removed %d dominatee(s), |Z|=%d", len(rem.removed), len(z))
     return DominationCore(Z=frozenset(z), removal_log=tuple(log))
 
 

@@ -21,7 +21,14 @@ from quasiwide.check import (
 from quasiwide.errors import InternalError
 from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import bfs_limited, build_graph
-from quasiwide.kernelize import CoreConfig, DominationCore, Removal, reduce_dominators
+from quasiwide.kernelize import (
+    CoreConfig,
+    DominationCore,
+    Removal,
+    domination_core,
+    reduce_dominators,
+)
+from quasiwide.uqw import UqwConfig
 
 
 def star(p):
@@ -75,13 +82,70 @@ def test_recheck_core_needs_an_independent_bucket():
     # pairwise within 2r = 2
     g = generate(GenSpec("path", {"n": 10}))
     cfg = CoreConfig(r=1, k=1)
-    rec = Removal(w=0, bucket=(0, 1, 2), anchors=())
+    rec = Removal(removed=(0,), bucket=(0, 1, 2), anchors=())
     assert not recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
-    rec = Removal(w=0, bucket=(0, 3, 6), anchors=())
+    rec = Removal(removed=(0,), bucket=(0, 3, 6), anchors=())
     assert recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
     # one vertex three times is not three lookalikes
-    rec = Removal(w=0, bucket=(0, 0, 0), anchors=())
+    rec = Removal(removed=(0,), bucket=(0, 0, 0), anchors=())
     assert not recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
+
+
+GRID12 = generate(GenSpec("grid", {"w": 12, "h": 12}))
+GRID12_CFG = CoreConfig(r=1, k=2, ell=16, uqw=UqwConfig(delta_k=2))
+# the 12x12 grid's first bucket: pairwise 4 or more apart, vectors all ()
+BUCKET = (0, 4, 8, 23, 26, 30)
+
+
+def _grid12_core(*log):
+    removed = {w for rec in log for w in rec.removed}
+    return DominationCore(Z=frozenset(range(GRID12.n)) - removed, removal_log=log)
+
+
+def test_recheck_core_replays_the_log():
+    keep3 = Removal(removed=(30, 26, 23), bucket=BUCKET, anchors=())
+    assert recheck_core(GRID12, _grid12_core(keep3), GRID12_CFG)
+    # (a) the whole bucket removed leaves none of its k + 1 behind
+    whole = Removal(removed=BUCKET[::-1], bucket=BUCKET, anchors=())
+    assert not recheck_core(GRID12, _grid12_core(whole), GRID12_CFG)
+    # (b) a later bucket holding a vertex an earlier record removed
+    first = Removal(removed=(30,), bucket=BUCKET, anchors=())
+    again = Removal(removed=(26,), bucket=BUCKET, anchors=())
+    assert recheck_core(GRID12, _grid12_core(first), GRID12_CFG)
+    assert not recheck_core(GRID12, _grid12_core(first, again), GRID12_CFG)
+    # (c) a removed vertex outside its bucket
+    outside = Removal(removed=(1,), bucket=BUCKET, anchors=())
+    assert not recheck_core(GRID12, _grid12_core(outside), GRID12_CFG)
+    # (d) one vertex removed twice in one record
+    twice = Removal(removed=(30, 30), bucket=BUCKET, anchors=())
+    assert not recheck_core(GRID12, _grid12_core(twice), GRID12_CFG)
+    # (e) a core whose Z is not the replay's
+    core = domination_core(GRID12, GRID12_CFG)
+    assert recheck_core(GRID12, core, GRID12_CFG)
+    for z in (core.Z - {min(core.Z)}, core.Z | {30}):
+        forged = dataclasses.replace(core, Z=z)
+        assert not recheck_core(GRID12, forged, GRID12_CFG)
+
+
+@pytest.mark.parametrize(
+    "family,params,r,k,ell",
+    [
+        ("grid", {"w": 12, "h": 12}, 1, 2, 16),
+        ("grid", {"w": 12, "h": 12}, 2, 2, 16),
+        ("stars", {"k": 3, "p": 20}, 1, 3, 12),
+        ("stars", {"k": 3, "p": 20}, 2, 3, 12),
+        ("path", {"n": 60}, 2, 2, 8),
+        ("cycle", {"n": 60}, 1, 2, 8),
+        ("random_bounded_degree", {"n": 60, "d": 3, "seed": 2}, 1, 2, 16),
+    ],
+)
+def test_recheck_core_accepts_both_sieve_modes(family, params, r, k, ell):
+    g = generate(GenSpec(family, params))
+    cfg = CoreConfig(r=r, k=k, ell=ell, uqw=UqwConfig(delta_k=2))
+    for batch in (True, False):
+        core = domination_core(g, cfg, batch=batch)
+        assert core.removal_log
+        assert recheck_core(g, core, cfg)
 
 
 def test_recheck_representatives():

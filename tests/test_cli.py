@@ -170,7 +170,7 @@ def test_cds_fpt_density_refusal_report(tmp_path):
 def test_stage_logs_go_to_stderr_only(dense_repro):
     argv = (
         "core", "--graph", dense_repro, "--r", "1", "--k", "5", "--ell", "16",
-        "--deterministic",
+        "--delta-k", "4", "--deterministic",
     )
     quiet = run(*argv, check=True)
     loud = run(*argv, check=True, log=True)
@@ -437,6 +437,18 @@ def test_gen_and_bench_read_seed(tmp_path, capsys):
                  "--deterministic"]) == 0
     assert out.read_text().splitlines()[1].startswith("random_degenerate,12,1,1,")
     capsys.readouterr()
+
+
+def test_gen_refuses_two_seeds(tmp_path, capsys):
+    from quasiwide.cli import main
+
+    out = tmp_path / "g.el"
+    assert main(["gen", "--family", "random_degenerate", "--params", "n=6,c=2,seed=5",
+                 "--seed", "7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed and --params seed= are both given\n"
+    assert not out.exists()
 
 
 _GRID_BENCH = ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",

@@ -90,10 +90,9 @@ def test_find_irrelevant_on_star():
     g = star(10)
     cfg = CoreConfig(r=1, k=1, ell=4)
     rem = find_irrelevant_dominatee(g, list(range(g.n)), cfg)
-    assert rem.w == 1
+    assert rem.removed == (1,)
     assert rem.bucket == (1, 2, 3)
     assert rem.anchors == (0,)
-    assert rem.w in rem.bucket
     assert len(rem.bucket) >= cfg.k + 2
 
 
@@ -141,11 +140,11 @@ def test_removal_log_is_auditable():
     cfg = CoreConfig(r=1, k=2, ell=6)
     core = domination_core(g, cfg, batch=True)
     assert sorted(core.Z) == [0, 1, 2, 3, 7, 8, 9, 10]
-    assert len(core.removal_log) == 6
-    removed = {rec.w for rec in core.removal_log}
-    assert removed == set(range(g.n)) - core.Z
+    assert len(core.removal_log) == 3
+    removed = [w for rec in core.removal_log for w in rec.removed]
+    assert sorted(removed) == sorted(set(range(g.n)) - core.Z)
     for rec in core.removal_log:
-        assert rec.w in rec.bucket
+        assert set(rec.removed) <= set(rec.bucket)
         assert len(rec.bucket) >= cfg.k + 2
         # bucket members genuinely share their distance vector to the anchors
         vecs = {distance_vector(g, v, rec.anchors, 2 * cfg.r) for v in rec.bucket}
@@ -253,8 +252,8 @@ def _star_core():
     g = star(80)
     cfg = CoreConfig(r=1, k=2, ell=16)
     core = domination_core(g, cfg, batch=True)
-    # batches share one bucket, all anchored at the center
-    assert len({rec.bucket for rec in core.removal_log}) < len(core.removal_log)
+    # each batch split removes more than one vertex, all anchored at the center
+    assert all(len(rec.removed) > 1 for rec in core.removal_log)
     assert {rec.anchors for rec in core.removal_log} == {(0,)}
     return g, cfg, core
 
@@ -264,13 +263,12 @@ def test_recheck_catches_a_tampered_shared_bucket(position):
     g, cfg, core = _star_core()
     assert recheck_core(g, core, cfg)
     log = list(core.removal_log)
-    bucket = log[0].bucket
-    sharing = [i for i, rec in enumerate(log) if rec.bucket == bucket]
-    assert len(sharing) >= 2
-    i = sharing[0] if position == "first" else sharing[-1]
+    assert len(log) >= 2
+    i = 0 if position == "first" else len(log) - 1
     # the center is 0 from the anchor, every leaf 1
-    keep = [v for v in bucket if v != log[i].w]
-    tampered = tuple(sorted([0, log[i].w, *keep[1:]]))
+    bucket = log[i].bucket
+    kept = [v for v in bucket if v not in log[i].removed]
+    tampered = tuple(sorted([0, *log[i].removed, *kept[1:]]))
     log[i] = dataclasses.replace(log[i], bucket=tampered)
     assert not recheck_core(g, dataclasses.replace(core, removal_log=tuple(log)), cfg)
 

@@ -45,7 +45,7 @@ def test_one_vertex_extraction_deletes_nothing():
     # the same guard in round 2, which extracts one ball here and once
     # refused with 18 candidates
     g = generate(GenSpec("random_degenerate", {"n": 40, "c": 2, "seed": 1004}))
-    res = uqw_split(g, list(range(40)), 4, 40)
+    res = uqw_split(g, list(range(40)), 4, 40, UqwConfig(delta_k=4))
     assert [(log.len_after, log.s_added) for log in res.rounds] == [(4, ()), (1, ())]
     assert res.B == (0,)
     assert uqw_verify(g, res, list(range(40)), 4)
@@ -53,7 +53,7 @@ def test_one_vertex_extraction_deletes_nothing():
 
 def test_disjoint_stars_one_pick_per_component():
     g = generate(GenSpec("stars", {"k": 3, "p": 5}))
-    res = uqw_split(g, list(range(g.n)), 2, 6)
+    res = uqw_split(g, list(range(g.n)), 2, 6, UqwConfig(delta_k=4))
     assert res.S == frozenset()
     assert res.B == (0, 6, 16)
     assert uqw_verify(g, res, list(range(g.n)), 2)
