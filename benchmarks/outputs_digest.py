@@ -9,13 +9,14 @@ Runs, with ``--deterministic`` added to every command:
   under ``kernelize``, and ``cds-fpt`` and ``uqw`` refusing a clique;
 - one command per remaining report branch: ``core --single``, the brute-force
   ``cds`` solver, ``kernelize --verify`` above the safety bound, a missing
-  flag of each ``solve`` problem, an unreadable ``--graph`` path, and a
-  family flag that ``gen`` and ``bench`` refuse for a grid;
+  flag of each ``solve`` problem, an unreadable ``--graph`` path, a
+  family flag that ``gen`` and ``bench`` refuse for a grid, and a
+  ``kernelize`` whose construction would exceed n + 1 vertices, so it
+  returns the identity kernel;
 - two splits at odd radius that reach round 2: ``uqw --r 3`` on the
   criterion-9 grid and on the 12x12 grid of the README;
 - among the inputs, ``core`` on the 12x12 grid in batch and single mode,
-  whose sieves remove vertices (the criterion-9 ``core`` lines remove
-  none), and a ``gen`` given both ``--seed`` and ``--params seed=``;
+  and a ``gen`` given both ``--seed`` and ``--params seed=``;
 - every command of each ``perfbench`` workload at ``--seed``, from the
   manifest that ``perfbench/workloads.py`` writes when run as a script.
 
@@ -79,6 +80,8 @@ BRANCHES = [
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--seed", "1"],
     ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",
      "--out", "refused.csv", "--c", "3"],
+    ["kernelize", "--graph", "d65.el", "--r", "1", "--k", "2", "--ell", "64",
+     "--out", "d65.kern"],
 ]
 
 ODD_RADIUS = [
@@ -93,6 +96,7 @@ INPUTS = [
     ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
     ["gen", "--family", "grid", "--params", "w=9,h=8", "--out", "g72.el"],
+    ["gen", "--family", "random_degenerate", "--params", "n=65,c=2", "--out", "d65.el"],
     ["gen", "--family", "grid", "--params", "w=12,h=12", "--out", "g12.el"],
     ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20"],
     ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20", "--single"],

@@ -53,7 +53,8 @@ def recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
     identical capped distance vectors; its ``removed`` must be distinct
     bucket members that leave k + 1 of them in Z. Z then loses them, and the
     replayed Z must equal the core's. Each record costs one capped BFS per
-    anchor and one walk for the independence."""
+    anchor and one walk for the independence. A malformed record, an anchor
+    outside V(G) included, gives False."""
     z = set(range(g.n))
     for rec in core.removal_log:
         bucket, removed = set(rec.bucket), set(rec.removed)
@@ -63,12 +64,15 @@ def recheck_core(g: Graph, core: DominationCore, cfg: CoreConfig) -> bool:
             return False
         if len(bucket) - len(removed) < cfg.k + 1:
             return False
-        vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
-        if len(set(vectors.values())) != 1:
-            return False
-        # equal vectors keep the distinct members out of the anchors: a
-        # member at distance 0 from an anchor would be that anchor
-        if not is_r_independent(g, rec.bucket, 2 * cfg.r, frozenset(rec.anchors)):
+        try:
+            vectors = distance_vectors(g, rec.bucket, rec.anchors, 2 * cfg.r)
+            if len(set(vectors.values())) != 1:
+                return False
+            # equal vectors keep the distinct members out of the anchors: a
+            # member at distance 0 from an anchor would be that anchor
+            if not is_r_independent(g, rec.bucket, 2 * cfg.r, frozenset(rec.anchors)):
+                return False
+        except InputError:  # an anchor outside V(G)
             return False
         z -= removed
     return z == core.Z

@@ -273,6 +273,7 @@ def cmd_kernelize(args: argparse.Namespace, run: _Run) -> Outcome:
         "y_size": len(reps.Y),
         "vh": ker.graph.n,
         "k_new": ker.k_new,
+        "kernel": ker.kind,
         "out": args.out,
     }
     if len(core.Z) == g.n:

@@ -21,7 +21,6 @@ Conventions:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -97,22 +96,39 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def _peel(n: int, adj: tuple[tuple[int, ...], ...]) -> int:
     """The degeneracy: repeatedly peel a minimum-degree vertex and return the
     largest degree seen at peel time."""
-    # Lazy heap keyed by (degree, id): O(m log n).
+    # Bucket queue (Batagelj and Zaversnik), O(n + m): ``order`` holds the
+    # vertices sorted by current degree, ``start[d]`` is where degree d's
+    # bucket begins, and a neighbour whose degree drops moves to the front
+    # of its bucket, which then starts one place later.
     degree = [len(a) for a in adj]
-    heap: list[tuple[int, int]] = [(degree[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    removed = [False] * n
+    start = [0] * (max(degree, default=0) + 2)
+    for d in degree:
+        start[d + 1] += 1
+    for d in range(1, len(start)):
+        start[d] += start[d - 1]
+    order = [0] * n
+    pos = [0] * n
+    fill = start[:]
+    for v in range(n):
+        pos[v] = fill[degree[v]]
+        order[pos[v]] = v
+        fill[degree[v]] += 1
     c = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
-        c = max(c, d)
+    for v in order:
+        d = degree[v]
+        if d > c:
+            c = d
         for u in adj[v]:
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+            du = degree[u]
+            if du > d:
+                front = start[du]
+                w = order[front]
+                if w != u:
+                    pu = pos[u]
+                    order[front], order[pu] = u, w
+                    pos[u], pos[w] = front, pu
+                start[du] = front + 1
+                degree[u] = du - 1
     return c
 
 

@@ -9,7 +9,9 @@ The pipeline shrinks an instance (G, r, k) in three stages:
    window of Z with the wide-set splitter and bucketing the returned spread
    set by capped distance vectors to the splitter's deletion set: a bucket of
    k + 2 vertices with identical vectors cannot all be dominated separately
-   by k dominators, so all but k + 1 of them are redundant.
+   by k dominators, so all but k + 1 of them are redundant. A split deletes
+   the bucket's smallest members: one in single mode, all but the k + 1
+   largest (never cutting Z below ``ell``) in batch mode.
 2. :func:`reduce_dominators` groups all vertices of G by which part of Z they
    r-dominate and keeps one representative per inclusion-maximal class:
    every other vertex reaches a subset of what some representative reaches,
@@ -20,7 +22,9 @@ The pipeline shrinks an instance (G, r, k) in three stages:
    after the copies, and a gadget forcing one extra dominator, so that G
    has a distance-r dominating set of size k iff H has one of size k + 1.
 
-:func:`kernel_pipeline` runs the three in order.
+:func:`kernel_pipeline` runs the three in order and returns G plus one
+isolated vertex at budget k + 1 instead whenever H has more than n + 1
+vertices, so no kernel it returns exceeds n + 1.
 
 Stage outputs carry enough bookkeeping for every claim to be re-checked:
 the removal log holds one record per sieve split, which
@@ -88,9 +92,10 @@ class Removal:
     members of a ``bucket`` of at least k + 2 vertices sharing one capped
     distance vector to the ``anchors``, and at least k + 1 members stay.
 
-    :func:`find_irrelevant_dominatee` proposes the bucket's smallest member;
-    :func:`domination_core` logs one record per split, with ``removed`` set
-    to the vertices it deleted."""
+    Buckets are sorted. :func:`find_irrelevant_dominatee` proposes the
+    bucket's smallest member; :func:`domination_core` logs one record per
+    split, with ``removed`` set to the bucket's smallest members that it
+    deleted, in increasing order."""
 
     removed: tuple[int, ...]
     bucket: tuple[int, ...]
@@ -168,11 +173,12 @@ class DominationCore:
 def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> DominationCore:
     """Shrink Z = V(G) by deleting justified dominatees until none is found.
 
-    In batch mode each qualifying bucket of size q loses its q - (k + 1)
-    largest members at once (largest first), except that Z is never cut
-    below ``ell``, so the core lands exactly on the threshold when the
-    bucket is big enough. Single mode deletes only the smallest bucket
-    member per round. Each split is logged as one :class:`Removal` naming
+    Each split deletes the ``dd`` smallest members of its bucket. Batch
+    mode takes dd = min(q - (k + 1), |Z| - ``ell``) for a bucket of q
+    members, so the bucket keeps its k + 1 largest and the core lands
+    exactly on the threshold when the bucket is big enough; single mode
+    takes dd = 1. Batch mode thus makes single mode's choice several
+    vertices at a time. Each split is logged as one :class:`Removal` naming
     the vertices it deleted.
     """
     z = _SortedZ(range(g.n))
@@ -182,10 +188,8 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
         rem = find_irrelevant_dominatee(g, z, cfg)
         if rem is None:
             break
-        if batch:
-            excess = len(rem.bucket) - (cfg.k + 1)
-            dd = min(excess, len(z) - ell)
-            rem = replace(rem, removed=tuple(reversed(rem.bucket[-dd:])))
+        dd = min(len(rem.bucket) - (cfg.k + 1), len(z) - ell) if batch else 1
+        rem = replace(rem, removed=rem.bucket[:dd])
         log.append(rem)
         for w in rem.removed:
             del z[bisect_left(z, w)]
@@ -260,21 +264,25 @@ class KernelInstance:
     inside H.
 
     ``p_ids`` maps each path vertex of G outside Z ∪ Y to its one H id, and
-    ``path_internals`` lists those H ids in increasing order."""
+    ``path_internals`` lists those H ids in increasing order. ``kind`` is
+    "sieve" for :func:`build_kernel`'s construction and "identity" for G
+    plus one isolated gadget vertex, which has no ``gadget_v_prime``."""
 
     graph: Graph
     k_new: int
     z_ids: Mapping[int, int]
     y_ids: Mapping[int, int]
     gadget_v: int
-    gadget_v_prime: int
+    gadget_v_prime: int | None
     gadget_internals: tuple[int, ...]
     p_ids: Mapping[int, int]
     projection_ok: bool
+    kind: str = "sieve"
 
     @property
     def gadget_ids(self) -> tuple[int, ...]:
-        return (self.gadget_v, self.gadget_v_prime) + self.gadget_internals
+        pair = (self.gadget_v, self.gadget_v_prime)
+        return tuple(v for v in pair if v is not None) + self.gadget_internals
 
     @property
     def path_internals(self) -> tuple[int, ...]:
@@ -381,6 +389,13 @@ def kernel_pipeline(
     """The whole kernelization: sieve the core, reduce dominators, build the
     kernel, at ``cfg``'s radius and budget.
 
+    The returned kernel never has more than n + 1 vertices: when
+    :func:`build_kernel`'s H does, it is replaced by the identity kernel, G
+    plus one isolated vertex at budget k + 1, which that vertex spends on
+    itself. Its Z- and Y-copies are all of V(G) under their own ids, its
+    gadget is vertex n, and ``projection_ok`` still reports the check of the
+    H that was built.
+
     ``stage(name)`` wraps each step, named "core", "reduce" and "build"; the
     default wraps nothing. The steps are looked up in this module when
     called, so a wrapper installed on one of them sees every call.
@@ -391,6 +406,20 @@ def kernel_pipeline(
         reps = reduce_dominators(g, core.Z, cfg.r)
     with stage("build"):
         ker = build_kernel(g, core.Z, reps, cfg.r, cfg.k)
+        if ker.graph.n > g.n + 1:
+            own = {v: v for v in range(g.n)}
+            ker = KernelInstance(
+                graph=Graph(n=g.n + 1, adj=g.adj + ((),)),
+                k_new=cfg.k + 1,
+                z_ids=own,
+                y_ids=own,
+                gadget_v=g.n,
+                gadget_v_prime=None,
+                gadget_internals=(),
+                p_ids={},
+                projection_ok=ker.projection_ok,
+                kind="identity",
+            )
     return core, reps, ker
 
 

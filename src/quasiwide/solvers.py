@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import _kernels
 from .check import check_cds_branch, verify_steiner
@@ -263,8 +263,9 @@ def cds_fpt(
     enumerates partitions of W into blocks with a common dominator and
     connects X with one prospective dominator per block through a minimum
     Steiner tree. Disconnected inputs (beyond a single vertex) have no
-    solution. Dense inputs surface as :class:`DensityError` from the
-    splitter.
+    solution, and neither has a graph whose d largest degrees sum to less
+    than n + d - 2 for every d <= k. Dense inputs surface as
+    :class:`DensityError` from the splitter.
 
     ``K_threshold`` defaults to 4(k+1)^2 and must be at least k + 2.
     """
@@ -281,6 +282,11 @@ def cds_fpt(
     if n == 1:
         return {0}
     if len(bfs_limited(g, [0], n)) != n:
+        return None
+    # A connected d-set spends d - 1 of its edges inside itself, so it
+    # dominates at most its degree sum minus d - 2 vertices.
+    top = accumulate(sorted((len(a) for a in g.adj), reverse=True)[: min(k, n)])
+    if all(total < n + d - 2 for d, total in enumerate(top, start=1)):
         return None
     masks = _kernels.nr_masks(g, 1)
     full = (1 << n) - 1

@@ -91,6 +91,13 @@ def test_recheck_core_needs_an_independent_bucket():
     assert not recheck_core(g, DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,)), cfg)
 
 
+def test_recheck_core_rejects_an_anchor_outside_the_graph():
+    g = generate(GenSpec("path", {"n": 10}))
+    rec = Removal(removed=(0,), bucket=(0, 3, 6), anchors=(999,))
+    core = DominationCore(Z=frozenset(range(1, 10)), removal_log=(rec,))
+    assert not recheck_core(g, core, CoreConfig(r=1, k=1))
+
+
 GRID12 = generate(GenSpec("grid", {"w": 12, "h": 12}))
 GRID12_CFG = CoreConfig(r=1, k=2, ell=16, uqw=UqwConfig(delta_k=2))
 # the 12x12 grid's first bucket: pairwise 4 or more apart, vectors all ()

@@ -306,7 +306,7 @@ def test_bench_csv_shape(tmp_path):
         "family,n,r,k,z,y,vh,t_core_ms,t_reduce_ms,t_build_ms,verified,projection_ok"
     )
     assert len(lines) == 5
-    assert lines[1] == "grid,16,1,2,16,16,18,0.0,0.0,0.0,true,true"
+    assert lines[1] == "grid,16,1,2,16,16,17,0.0,0.0,0.0,true,true"
     for row in lines[1:]:
         fields = row.split(",")
         assert fields[0] == "grid"
@@ -335,6 +335,51 @@ def test_bench_verified_reads_the_representatives(monkeypatch, tmp_path, capsys)
     assert cli.main(argv) == 0
     assert (tmp_path / "b.csv").read_text().splitlines()[1].endswith(",false,true")
     capsys.readouterr()
+
+
+def test_kernelize_falls_back_to_the_identity_kernel(tmp_path, capsys):
+    # K3 keeps Z = V, so the construction has 3 + 2 vertices against n + 1 = 4
+    from quasiwide import cli
+    from quasiwide.io import parse_edge_list, parse_kernel_header
+
+    (tmp_path / "k3.el").write_text("n=3\n0 1\n0 2\n1 2\n")
+    out = tmp_path / "k3.kern"
+    argv = ["kernelize", "--graph", str(tmp_path / "k3.el"), "--r", "1", "--k", "1",
+            "--ell", "4", "--out", str(out), "--verify", "--deterministic"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["kernel"] == "identity"
+    assert doc["result"]["vh"] == 4 and doc["result"]["k_new"] == 2
+    assert doc["verified"]["equivalence"] is True
+    text = out.read_text()
+    assert parse_kernel_header(text) == {
+        "k_new": 2, "z": [0, 1, 2], "y": [0, 1, 2], "gadget": [3],
+    }
+    assert parse_edge_list(text) == (4, [(0, 1), (0, 2), (1, 2)])
+
+
+def test_core_with_a_foreign_anchor_is_unjustified(monkeypatch, tmp_path, capsys):
+    # an anchor outside V(G) fails the audit instead of reading as bad input
+    from dataclasses import replace
+
+    from quasiwide import cli
+
+    real = cli.domination_core
+
+    def foreign(g, cfg, batch=True):
+        core = real(g, cfg, batch)
+        first = replace(core.removal_log[0], anchors=(999,))
+        return replace(core, removal_log=(first, *core.removal_log[1:]))
+
+    (tmp_path / "p.el").write_text("n=12\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))
+    argv = ["core", "--graph", str(tmp_path / "p.el"), "--r", "1", "--k", "1",
+            "--ell", "4", "--deterministic"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "domination_core", foreign)
+    assert cli.main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] == {"removals_justified": False}
 
 
 def test_deterministic_rerun_is_byte_identical(tmp_path, grid32):

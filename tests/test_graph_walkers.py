@@ -4,8 +4,9 @@ each against the straightforward code it replaced.
 The references are a deque BFS with a distance dict (``bfs_limited`` and
 ``distances_from``), one full-radius BFS per member (``is_r_independent``),
 one full-radius BFS per candidate (``uqw._prune_spread``), a stack DFS
-inside the vertex set (``induced_connected``) and the eager minimum-degree
-peel ``build_graph`` used to run on every graph.
+inside the vertex set (``induced_connected``) and the lazy-heap
+minimum-degree peel that ``build_graph`` used to run on every graph and
+``Graph.c`` ran until its bucket queue.
 """
 
 import heapq
@@ -277,6 +278,21 @@ def test_lazy_peel_matches_eager_peel():
         assert g.c == reference_peel(g)
         for u, v in g.edges():
             assert adjacent(g, u, v)
+
+
+@st.composite
+def peel_case(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    if n == 0:
+        return build_graph(0, [])
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=150)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(peel_case())
+def test_bucket_peel_matches_heap_peel(g):
+    assert graph._peel(g.n, g.adj) == reference_peel(g)
 
 
 @pytest.fixture()

@@ -120,7 +120,8 @@ def test_core_on_star_lands_on_threshold():
     g = star(10)
     cfg = CoreConfig(r=1, k=1, ell=4)
     core = domination_core(g, cfg, batch=True)
-    assert sorted(core.Z) == [0, 1, 2, 10]
+    # one split removes the seven smallest leaves and keeps k + 1 = 2
+    assert sorted(core.Z) == [0, 8, 9, 10]
     assert core_is_sound(g, core.Z, 1, 1)
 
 
@@ -139,7 +140,7 @@ def test_removal_log_is_auditable():
     g = generate(GenSpec("stars", {"k": 2, "p": 6}))
     cfg = CoreConfig(r=1, k=2, ell=6)
     core = domination_core(g, cfg, batch=True)
-    assert sorted(core.Z) == [0, 1, 2, 3, 7, 8, 9, 10]
+    assert sorted(core.Z) == [0, 4, 5, 6, 7, 11, 12, 13]
     assert len(core.removal_log) == 3
     removed = [w for rec in core.removal_log for w in rec.removed]
     assert sorted(removed) == sorted(set(range(g.n)) - core.Z)
@@ -322,12 +323,13 @@ def test_reduce_dominators_empty_z():
 def test_kernel_star_frozen():
     g = star(10)
     ki = kernel_pipeline(g, CoreConfig(r=1, k=1, ell=4))[2]
-    # Z = {0, 1, 2, 10}; the center alone represents, and every non-Z
+    # Z = {0, 8, 9, 10}; the center alone represents, and every non-Z
     # vertex of H is the gadget's own
     assert ki.graph.n == 6
     assert ki.k_new == 2
+    assert ki.kind == "sieve"
     assert ki.projection_ok
-    assert ki.z_ids == {0: 0, 1: 1, 2: 2, 10: 3}
+    assert ki.z_ids == {0: 0, 8: 1, 9: 2, 10: 3}
     assert ki.y_ids == {0: 0}
     assert (ki.gadget_v, ki.gadget_v_prime) == (4, 5)
     assert ki.gadget_internals == () and ki.path_internals == ()
@@ -346,9 +348,17 @@ def test_kernel_stars_keeps_one_representative_per_star():
     assert ki.projection_ok
 
 
+def sieve_kernel(g, cfg):
+    """:func:`build_kernel`'s H on the batch core, which
+    :func:`kernel_pipeline` would swap for the identity kernel when it has
+    more than n + 1 vertices."""
+    z = domination_core(g, cfg).Z
+    return build_kernel(g, z, reduce_dominators(g, z, cfg.r), cfg.r, cfg.k)
+
+
 def test_kernel_drops_z_z_edges():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    ki = kernel_pipeline(g, CoreConfig(r=1, k=1, ell=4))[2]
+    ki = sieve_kernel(g, CoreConfig(r=1, k=1, ell=4))
     # Z = all of K3, Y = {0}: H keeps y-z adjacencies 0-1, 0-2 but not the
     # Z-Z edge 1-2; the gadget pair hangs off separately
     assert sorted(ki.z_ids) == [0, 1, 2]
@@ -363,7 +373,7 @@ def test_kernel_size_identity():
         (path_graph(9), 2, 1),
         (generate(GenSpec("grid", {"w": 5, "h": 4})), 1, 2),
     ]:
-        ki = kernel_pipeline(g, CoreConfig(r=r, k=k, ell=k + 2))[2]
+        ki = sieve_kernel(g, CoreConfig(r=r, k=k, ell=k + 2))
         base = set(ki.z_ids.values()) | set(ki.y_ids.values())
         assert ki.graph.n == (
             len(base)
@@ -650,3 +660,42 @@ def test_kernel_keeps_the_answer_on_every_family(case):
     check_kernel(g, z, r, k, exact_drds(g, r, k) is not None)
     # on any Z, H at budget k + 1 answers whether k vertices dominate Z
     check_kernel(g, subset, r, k, z_dominated(g, subset, r, k))
+
+
+@st.composite
+def pipeline_cases(draw):
+    """(G, r, k, ell) over every generator family: a tight ``ell`` lets the
+    sieve cut, the default one keeps Z = V(G) on these small graphs."""
+    g, r, k, _ = draw(kernel_cases())
+    return g, r, k, draw(st.sampled_from((k + 2, None)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pipeline_cases())
+def test_pipeline_kernel_never_exceeds_n_plus_one(case):
+    g, r, k, ell = case
+    try:
+        core, reps, ki = kernel_pipeline(g, CoreConfig(r=r, k=k, ell=ell))
+    except DensityError:
+        return  # the sieve refused; no kernel to check
+    built = build_kernel(g, core.Z, reps, r, k)
+    # (a) no kernel is larger than its input plus the one forced vertex
+    assert ki.graph.n <= g.n + 1
+    # (b) the same answer at budget k + 1
+    assert (exact_drds(ki.graph, r, ki.k_new) is not None) == (
+        exact_drds(g, r, k) is not None
+    )
+    # (c) the identity kernel exactly when the construction is too large
+    assert (ki.kind == "identity") == (built.graph.n > g.n + 1)
+    if ki.kind == "identity":
+        assert ki.graph.adj == g.adj + ((),)
+        assert ki.z_ids == ki.y_ids == {v: v for v in range(g.n)}
+        assert ki.gadget_ids == (g.n,) and ki.k_new == k + 1
+    else:
+        assert ki.graph.adj == built.graph.adj
+        assert dataclasses.replace(ki, graph=built.graph) == built
+    # (d) each batch split removes its bucket's smallest members and keeps
+    # the k + 1 largest
+    for rec in core.removal_log:
+        assert rec.removed == rec.bucket[: len(rec.removed)]
+        assert set(rec.bucket[-(k + 1):]).isdisjoint(rec.removed)

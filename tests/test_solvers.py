@@ -8,6 +8,8 @@ enough to verify by eye and are frozen here.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiwide import solvers
 from quasiwide.errors import ConfigError, DensityError, InfeasibleError, InputError
@@ -260,6 +262,36 @@ def test_cds_fpt_agrees_with_brute():
                 assert is_cds(g, got)
 
 
+def test_cds_fpt_degree_bound_refutes_at_the_root(monkeypatch):
+    # a connected d-set of a path or cycle dominates at most d + 2 vertices,
+    # so 12 vertices need 10; the answer comes before any Steiner run
+    def no_leaf(inst):
+        raise AssertionError("the leaf routine ran")
+
+    monkeypatch.setattr(solvers, "dreyfus_wagner", no_leaf)
+    for g in (path_graph(12), cycle_graph(12)):
+        assert cds_fpt(g, 9) is None
+        assert brute_cds(g, 9) is None and brute_cds(g, 10) is not None
+
+
+@st.composite
+def small_graph(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph())
+def test_cds_fpt_degree_bound_never_refutes_a_solvable_budget(g):
+    # the tightest budget, gamma_c itself, where the bound is closest to
+    # refuting
+    gamma = next((k for k in range(1, g.n + 1) if brute_cds(g, k) is not None), None)
+    if gamma is not None:
+        got = cds_fpt(g, gamma)
+        assert got is not None and len(got) <= gamma
+
+
 def _memo_free(monkeypatch):
     """Give every leaf state a key of its own, so the failure memo of
     ``cds_fpt`` never hits."""
@@ -302,10 +334,11 @@ def test_cds_fpt_memo_saves_steiner_runs(monkeypatch):
         return real(inst)
 
     monkeypatch.setattr(solvers, "dreyfus_wagner", counting)
-    g = generate(GenSpec("random_degenerate", {"n": 12, "c": 1, "seed": 2}))
-    got = cds_fpt(g, 5)
+    # gamma_c = 4, and the degree bound does not refute k = 3 at the root
+    g = generate(GenSpec("random_degenerate", {"n": 12, "c": 2, "seed": 4}))
+    got = cds_fpt(g, 3)
     with_memo = len(calls)
     del calls[:]
     _memo_free(monkeypatch)
-    assert cds_fpt(g, 5) == got
-    assert with_memo < len(calls)
+    assert cds_fpt(g, 3) == got
+    assert 0 < with_memo < len(calls)
