@@ -28,7 +28,11 @@ once, in call order, over its consecutive windows. They are then replayed
 on one shared graph, where each round resumes the tree of the previous
 round of its shape, and on a fresh graph per call, where every round
 builds its tree anew. Both graphs share the grid's neighbour bitsets, and
-each repeat starts from a new shared graph.
+each repeat starts from a new shared graph. The same replay runs on the
+tail-free arity-4 rounds (four free slots, t = 3) of a batch-mode
+sieve on a 65-vertex ``random_degenerate`` graph at r = 1, k = 2,
+ell = 64, delta_k = 4, the ``degenerate-r1`` workload's settings, whose
+window widens from 64 vertices to all 65.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/primitives.py --repeats 7
@@ -93,9 +97,9 @@ def kernel_bench():
     return f"build_kernel |V(H)|={size}", 1, lambda: build_kernel(g, z, reps, r, k)
 
 
-def sieve_rounds(g):
-    """The tail-free rounds that a batch-mode sieve on ``g`` runs, as
-    ``(seq, kind, i_split, arity)`` in call order."""
+def sieve_rounds(g, cfg):
+    """The tail-free rounds that a batch-mode sieve on ``g`` at ``cfg``
+    runs, as ``(seq, kind, i_split, arity)`` in call order."""
     rounds = []
     real = quasiwide._kernels.tree_round
 
@@ -104,7 +108,6 @@ def sieve_rounds(g):
             rounds.append((tuple(seq), kind, i_split, arity))
         return real(h, seq, kind, i_split, arity, tail)
 
-    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
     quasiwide._kernels.tree_round = record
     try:
         domination_core(g, cfg)
@@ -113,7 +116,7 @@ def sieve_rounds(g):
     return rounds
 
 
-def round_benches(g, rounds):
+def round_benches(g, rounds, label):
     """The recorded rounds on one shared graph and on a fresh graph per
     call."""
     bits = adjacency_bitsets(g)
@@ -129,8 +132,8 @@ def round_benches(g, rounds):
         ]
 
     return [
-        ("tree_round tail-free, shared", len(rounds), shared),
-        ("tree_round tail-free, fresh", len(rounds), fresh),
+        (f"tree_round {label}, shared", len(rounds), shared),
+        (f"tree_round {label}, fresh", len(rounds), fresh),
     ]
 
 
@@ -161,9 +164,14 @@ def main(argv=None) -> int:
         us = median_us(fn, calls, args.repeats)
         print(f"{label:<24} {name:<32} {calls:>6} {us:>10.2f}")
     g = generate(GRAPHS[0][1])
-    for name, calls, fn in round_benches(g, sieve_rounds(g)):
-        us = median_us(fn, calls, args.repeats)
-        print(f"{'grid 40x40 sieve':<24} {name:<32} {calls:>6} {us:>10.2f}")
+    grid_rounds = sieve_rounds(g, CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2)))
+    d = generate(GenSpec("random_degenerate", {"n": 65, "c": 2, "seed": 0}))
+    arity_4 = [rd for rd in sieve_rounds(d, CoreConfig(r=1, k=2, ell=64)) if rd[3] == 4]
+    for label, h, rounds, shape in (("grid 40x40 sieve", g, grid_rounds, "tail-free"),
+                                    ("degenerate n=65 sieve", d, arity_4, "t=3")):
+        for name, calls, fn in round_benches(h, rounds, shape):
+            us = median_us(fn, calls, args.repeats)
+            print(f"{label:<24} {name:<32} {calls:>6} {us:>10.2f}")
     return 0
 
 

@@ -41,20 +41,20 @@ both slots positive (phi_i, i >= 2) stay on the descent: their trees are
 shallow, and enumerating two-hop neighbors costs more than it saves. Both
 shortcuts give the tree, depths and tie rule of the descent they replace.
 
-Tail-free rounds with two free slots resume. The core sieve splits windows
-that overlap almost entirely, so such a round stores its tree on ``g``
-(``Graph._rounds``), keyed by (kind, i_split, arity). The tree maps each
-label to its node in insertion order, which gives both the sequence it was
-built from and the order to undo in, and it keeps the earlier deepest node
-each time a label went deeper than all before it. The next call of that
-shape on ``g`` finds the longest common prefix with the stored sequence.
-When the prefix is at least as long as the part past it, the insertions
-past it are undone, newest first; otherwise the round starts a fresh tree,
-since undoing would cost more than it keeps. Either way only the rest of
-the sequence is inserted. Insertion is causal, the tree after seq[:j]
-depends only on seq[:j], so the result equals that of a fresh round. A call
-that raises drops the stored tree of its shape. Rounds with a tail or with
-three or more free slots build a fresh tree each call.
+Every tail-free round with two or more free slots resumes. The core sieve
+splits windows that overlap almost entirely, so such a round stores its
+tree on ``g`` (``Graph._rounds``), keyed by (kind, i_split, arity). The
+tree maps each label to its node in insertion order, which gives both the
+sequence it was built from and the order to undo in, and it keeps the
+earlier deepest node each time a label went deeper than all before it. The
+next call of that shape on ``g`` finds the longest common prefix with the
+stored sequence. When the prefix is at least as long as the part past it,
+the insertions past it are undone, newest first; otherwise the round
+starts a fresh tree, since undoing would cost more than it keeps. Either
+way only the rest of the sequence is inserted. Insertion is causal, the
+tree after seq[:j] depends only on seq[:j], so the result equals that of a
+fresh round. A call that raises drops the stored tree of its shape. Rounds
+with a tail build a fresh tree each call.
 
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
@@ -135,9 +135,9 @@ def tree_round(
     than q-1 have no tuples to evaluate and chain. ``seq`` must not repeat a
     vertex; with two or more free slots a repeat raises ValueError.
 
-    A tail-free round with two free slots resumes the tree that the last
-    call of its shape on ``g`` left; the result is a fresh list, equal to
-    the one a fresh graph gives.
+    Every tail-free round with two or more free slots resumes the tree that
+    the last call of its shape on ``g`` left; the result is a fresh list,
+    equal to the one a fresh graph gives.
     """
     tail = tuple(tail)
     q = arity - len(tail)
@@ -175,7 +175,7 @@ def tree_round(
             return _Runs(*_phi_deviants(g.adj, bits, base))
         return _Descent(bits, positive, base, t)
 
-    if tail or t > 1:
+    if tail:
         tree = new_tree()
         tree.extend(seq)
         return tree.branch()

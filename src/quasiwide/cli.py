@@ -274,6 +274,8 @@ def cmd_kernelize(args: argparse.Namespace, run: _Run) -> Outcome:
         "vh": ker.graph.n,
         "k_new": ker.k_new,
         "kernel": ker.kind,
+        "kernel_z": len(z_ids),
+        "kernel_y": len(y_ids),
         "out": args.out,
     }
     if len(core.Z) == g.n:
@@ -428,7 +430,7 @@ def _add_core_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True)
     parser.add_argument("--r", type=int, required=True)
     parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--ell", type=int, default=None, help="core-size threshold")
+    parser.add_argument("--ell", type=int, default=None, help="first sieve window")
 
 
 @functools.cache
@@ -516,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ks", required=True, help="e.g. 2..6 or 2,4,6")
     p.add_argument("--out", required=True, help="CSV path (fresh file per run)")
-    p.add_argument("--ell", type=int, default=None, help="core-size threshold")
+    p.add_argument("--ell", type=int, default=None, help="first sieve window")
     p.add_argument(
         "--c",
         type=int,

@@ -9,9 +9,11 @@ The pipeline shrinks an instance (G, r, k) in three stages:
    window of Z with the wide-set splitter and bucketing the returned spread
    set by capped distance vectors to the splitter's deletion set: a bucket of
    k + 2 vertices with identical vectors cannot all be dominated separately
-   by k dominators, so all but k + 1 of them are redundant. A split deletes
-   the bucket's smallest members: one in single mode, all but the k + 1
-   largest (never cutting Z below ``ell``) in batch mode.
+   by k dominators, so all but k + 1 of them are redundant. This holds at
+   any |Z| >= k + 2, so the sieve runs until no window, from ``ell``
+   vertices up to all of Z, holds such a bucket. A split deletes the
+   bucket's smallest members: one in single mode, all but the k + 1
+   largest in batch mode.
 2. :func:`reduce_dominators` groups all vertices of G by which part of Z they
    r-dominate and keeps one representative per inclusion-maximal class:
    every other vertex reaches a subset of what some representative reaches,
@@ -24,7 +26,8 @@ The pipeline shrinks an instance (G, r, k) in three stages:
 
 :func:`kernel_pipeline` runs the three in order and returns G plus one
 isolated vertex at budget k + 1 instead whenever H has more than n + 1
-vertices, so no kernel it returns exceeds n + 1.
+vertices, so no kernel it returns exceeds n + 1. When a lower bound on
+the size of H already exceeds n + 1, H is not built at all.
 
 Stage outputs carry enough bookkeeping for every claim to be re-checked:
 the removal log holds one record per sieve split, which
@@ -58,10 +61,12 @@ _log = logging.getLogger(__name__)
 class CoreConfig:
     """Sieve parameters for radius ``r`` and budget ``k``.
 
-    ``ell`` is the core-size threshold below which the sieve stops looking
-    for removable vertices; when omitted it defaults to
-    ``max(4 * (k + 2) * (2r + 1)^2, 64)``. ``uqw`` configures the splitter
-    used to find lookalike buckets.
+    ``ell`` is the sieve's first window: the number of smallest members of
+    Z it splits before widening. It bounds neither the core nor the search,
+    which runs on up to all of Z; in the source paper it is the core size
+    above which a removable vertex is guaranteed. When omitted it defaults
+    to ``max(4 * (k + 2) * (2r + 1)^2, 64)``. ``uqw`` configures the
+    splitter used to find lookalike buckets.
     """
 
     r: int
@@ -81,6 +86,7 @@ class CoreConfig:
 
     @property
     def effective_ell(self) -> int:
+        """The first sieve window: ``ell``, or its default."""
         if self.ell is not None:
             return self.ell
         return max(4 * (self.k + 2) * (2 * self.r + 1) ** 2, 64)
@@ -113,14 +119,14 @@ def find_irrelevant_dominatee(
     """Search a window of Z for a same-vector bucket big enough to justify a
     removal.
 
-    The window holds the ``ell`` smallest members of Z and doubles up to
-    three times when no bucket qualifies (capped at |Z|). The splitter runs
+    The window holds the ``ell`` smallest members of Z and doubles while
+    no bucket qualifies, until it holds all of Z. The splitter runs
     at radius 2r, once per window; its deletion set S anchors the distance
     vectors, capped at 2r, which come from one capped BFS per anchor (none
     when S is empty). Only the first (k + 2)(2r + 1)^max(|S|, 4) members of
     the spread set B are bucketed, so a larger S admits a longer cut.
-    Returns None when Z is already at or below ``ell`` or no bucket of
-    k + 2 lookalikes shows up. A split that fails
+    Returns None when |Z| <= k + 1, where no bucket of k + 2 lookalikes
+    can exist, or when no window up to all of Z holds one. A split that fails
     :func:`~quasiwide.check.uqw_verify` at radius 2r raises
     :class:`InternalError`.
     """
@@ -129,12 +135,11 @@ def find_irrelevant_dominatee(
     else:
         zs = sorted(set(Z))
         check_vertices(g, zs)
-    ell = cfg.effective_ell
-    if len(zs) <= ell:
-        return None
     k, r = cfg.k, cfg.r
-    window = ell
-    for _ in range(4):
+    if len(zs) <= k + 1:
+        return None
+    window = cfg.effective_ell
+    while True:
         a = zs[:window]
         res = uqw_split(g, a, 2 * r, len(a), cfg.uqw)
         if not uqw_verify(g, res, a, 2 * r):
@@ -157,10 +162,7 @@ def find_irrelevant_dominatee(
             break
         window *= 2
         _log.debug("no qualifying bucket, widening window to %d", window)
-    _log.debug(
-        "no removable dominatee found (|Z|=%d, ell=%d); core stays above threshold",
-        len(zs), ell,
-    )
+    _log.debug("no removable dominatee found in all of Z (|Z|=%d)", len(zs))
     return None
 
 
@@ -174,21 +176,21 @@ def domination_core(g: Graph, cfg: CoreConfig, batch: bool = True) -> Domination
     """Shrink Z = V(G) by deleting justified dominatees until none is found.
 
     Each split deletes the ``dd`` smallest members of its bucket. Batch
-    mode takes dd = min(q - (k + 1), |Z| - ``ell``) for a bucket of q
-    members, so the bucket keeps its k + 1 largest and the core lands
-    exactly on the threshold when the bucket is big enough; single mode
-    takes dd = 1. Batch mode thus makes single mode's choice several
-    vertices at a time. Each split is logged as one :class:`Removal` naming
-    the vertices it deleted.
+    mode takes dd = q - (k + 1) for a bucket of q members, so the bucket
+    keeps its k + 1 largest; single mode takes dd = 1. Batch mode thus
+    makes single mode's choice several vertices at a time. The sieve stops
+    only when :func:`find_irrelevant_dominatee` finds no bucket in all of
+    Z, so ``ell`` sets where each search starts, not the core's size. Each
+    split is logged as one :class:`Removal` naming the vertices it
+    deleted.
     """
     z = _SortedZ(range(g.n))
     log: list[Removal] = []
-    ell = cfg.effective_ell
     while True:
         rem = find_irrelevant_dominatee(g, z, cfg)
         if rem is None:
             break
-        dd = min(len(rem.bucket) - (cfg.k + 1), len(z) - ell) if batch else 1
+        dd = len(rem.bucket) - (cfg.k + 1) if batch else 1
         rem = replace(rem, removed=rem.bucket[:dd])
         log.append(rem)
         for w in rem.removed:
@@ -381,6 +383,16 @@ def build_kernel(
     )
 
 
+def _kernel_floor(Z: Iterable[int], Y: Iterable[int], r: int) -> int:
+    """A lower bound on the vertex count of :func:`build_kernel`'s H,
+    known before it is built: the copies of Z ∪ Y, the gadget's v and v',
+    and the r - 1 inner vertices of each gadget path to a copy of Y \\ Z
+    and to v'. The shared path vertices are not counted."""
+    zs = set(Z)
+    y_only = len(set(Y) - zs)
+    return len(zs) + y_only + 2 + (r - 1) * (y_only + 1)
+
+
 def kernel_pipeline(
     g: Graph,
     cfg: CoreConfig,
@@ -392,9 +404,12 @@ def kernel_pipeline(
     The returned kernel never has more than n + 1 vertices: when
     :func:`build_kernel`'s H does, it is replaced by the identity kernel, G
     plus one isolated vertex at budget k + 1, which that vertex spends on
-    itself. Its Z- and Y-copies are all of V(G) under their own ids, its
-    gadget is vertex n, and ``projection_ok`` still reports the check of the
-    H that was built.
+    itself. Its Z- and Y-copies are all of V(G) under their own ids and its
+    gadget is vertex n. H is built only when its floor, |Z ∪ Y| + 2 +
+    (r - 1)(|Y \\ Z| + 1), is at most n + 1; otherwise H would be
+    discarded, and the identity kernel is returned without it. Its ``projection_ok`` reports the check of H when
+    H was built, and is True when it was not: the identity kernel's
+    projections are G's own, so they hold by construction.
 
     ``stage(name)`` wraps each step, named "core", "reduce" and "build"; the
     default wraps nothing. The steps are looked up in this module when
@@ -405,8 +420,10 @@ def kernel_pipeline(
     with stage("reduce"):
         reps = reduce_dominators(g, core.Z, cfg.r)
     with stage("build"):
-        ker = build_kernel(g, core.Z, reps, cfg.r, cfg.k)
-        if ker.graph.n > g.n + 1:
+        ker = None
+        if _kernel_floor(core.Z, reps.Y, cfg.r) <= g.n + 1:
+            ker = build_kernel(g, core.Z, reps, cfg.r, cfg.k)
+        if ker is None or ker.graph.n > g.n + 1:
             own = {v: v for v in range(g.n)}
             ker = KernelInstance(
                 graph=Graph(n=g.n + 1, adj=g.adj + ((),)),
@@ -417,7 +434,7 @@ def kernel_pipeline(
                 gadget_v_prime=None,
                 gadget_internals=(),
                 p_ids={},
-                projection_ok=ker.projection_ok,
+                projection_ok=ker is None or ker.projection_ok,
                 kind="identity",
             )
     return core, reps, ker

@@ -18,14 +18,14 @@ def test_primitives_script_runs_every_case():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 20
-    assert "reduce_dominators |Y|=" in rows[-4]
-    assert "build_kernel |V(H)|=" in rows[-3]
-    shared, fresh = rows[-2:]
-    assert "tree_round tail-free, shared" in shared
-    assert "tree_round tail-free, fresh" in fresh
-    # both replay the same recorded rounds
-    assert shared.split()[-2] == fresh.split()[-2] != "0"
+    assert len(rows) == 22
+    assert "reduce_dominators |Y|=" in rows[-6]
+    assert "build_kernel |V(H)|=" in rows[-5]
+    for shape, (shared, fresh) in (("tail-free", rows[-4:-2]), ("t=3", rows[-2:])):
+        assert f"tree_round {shape}, shared" in shared
+        assert f"tree_round {shape}, fresh" in fresh
+        # both replay the same recorded rounds
+        assert shared.split()[-2] == fresh.split()[-2] != "0"
 
 
 def test_backend_compare_script_runs_every_case(native, capsys):

@@ -182,8 +182,7 @@ def test_stage_logs_go_to_stderr_only(dense_repro):
         "[uqw] round 1: |A|=32 extracted=4 |S|=0 |B|=2",
         "[kernelize] no qualifying bucket, widening window to 64",
         "[uqw] round 1: |A|=40 extracted=4 |S|=0 |B|=2",
-        "[kernelize] no removable dominatee found (|Z|=40, ell=16); "
-        "core stays above threshold",
+        "[kernelize] no removable dominatee found in all of Z (|Z|=40)",
     ]
 
 
@@ -356,6 +355,27 @@ def test_kernelize_falls_back_to_the_identity_kernel(tmp_path, capsys):
         "k_new": 2, "z": [0, 1, 2], "y": [0, 1, 2], "gadget": [3],
     }
     assert parse_edge_list(text) == (4, [(0, 1), (0, 2), (1, 2)])
+
+
+def test_identity_kernel_reports_its_own_z_and_y(tmp_path, capsys):
+    # the sieve removes one vertex of this 65-vertex graph, but the identity
+    # kernel lists all 65 under z and y: z_size/y_size count the sieve's
+    # sets, kernel_z/kernel_y the file's headers
+    from quasiwide import cli
+    from quasiwide.io import parse_kernel_header
+
+    graph, out = tmp_path / "d65.el", tmp_path / "d65.kern"
+    run("gen", "--family", "random_degenerate", "--params", "n=65,c=2,seed=11",
+        "--out", str(graph), check=True)
+    argv = ["kernelize", "--graph", str(graph), "--r", "1", "--k", "2", "--ell", "64",
+            "--out", str(out), "--deterministic"]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["kernel"] == "identity" and result["vh"] == 66
+    assert (result["z_size"], result["kernel_z"]) == (64, 65)
+    assert (result["y_size"], result["kernel_y"]) == (63, 65)
+    header = parse_kernel_header(out.read_text())
+    assert (len(header["z"]), len(header["y"])) == (65, 65)
 
 
 def test_core_with_a_foreign_anchor_is_unjustified(monkeypatch, tmp_path, capsys):

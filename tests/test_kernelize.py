@@ -11,6 +11,7 @@ import functools
 import itertools
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from quasiwide.graph import (
     distance_vectors,
     distances_from,
 )
+from quasiwide.io import kernel_text
 from quasiwide.kernelize import (
     CoreConfig,
     build_kernel,
@@ -83,7 +85,15 @@ def test_config_defaults_and_validation():
 def test_find_irrelevant_below_threshold_is_none():
     g = star(10)
     cfg = CoreConfig(r=1, k=1, ell=16)
-    assert find_irrelevant_dominatee(g, list(range(g.n)), cfg) is None
+    # ell is only the first window: at |Z| = 11 < ell the leaves still
+    # form one bucket anchored at the center
+    rem = find_irrelevant_dominatee(g, list(range(g.n)), cfg)
+    assert rem.bucket == tuple(range(1, 11))
+    assert rem.anchors == (0,)
+    # at |Z| <= k + 1 no bucket of k + 2 lookalikes can exist
+    assert find_irrelevant_dominatee(g, [1, 2], cfg) is None
+    assert find_irrelevant_dominatee(g, [0, 1], cfg) is None
+    assert find_irrelevant_dominatee(g, [1, 2, 3], cfg).bucket == (1, 2, 3)
 
 
 def test_find_irrelevant_on_star():
@@ -94,6 +104,29 @@ def test_find_irrelevant_on_star():
     assert rem.bucket == (1, 2, 3)
     assert rem.anchors == (0,)
     assert len(rem.bucket) >= cfg.k + 2
+
+
+def test_sieve_widens_past_eight_times_ell(monkeypatch):
+    # on the 6x8 grid at arity 2 the windows of 3, 6, 12 and 24 vertices
+    # hold no bucket of k + 2 = 3; the first one lies in all 48 vertices
+    windows = []
+    real = kernelize_module.uqw_split
+
+    def spy(g, a, r, m, cfg):
+        windows.append(len(a))
+        return real(g, a, r, m, cfg)
+
+    monkeypatch.setattr(kernelize_module, "uqw_split", spy)
+    g = generate(GenSpec("grid", {"w": 6, "h": 8}))
+    cfg = CoreConfig(r=1, k=1, ell=3, uqw=UqwConfig(delta_k=2))
+    rem = find_irrelevant_dominatee(g, range(g.n), cfg)
+    assert windows == [3, 6, 12, 24, 48]
+    assert rem.bucket == (0, 4, 14, 23, 24, 45)
+    assert rem.anchors == ()
+    assert all(
+        u not in distances_from(g, v, 2 * cfg.r)
+        for v, u in itertools.combinations(rem.bucket, 2)
+    )
 
 
 @pytest.mark.parametrize(
@@ -120,8 +153,10 @@ def test_core_on_star_lands_on_threshold():
     g = star(10)
     cfg = CoreConfig(r=1, k=1, ell=4)
     core = domination_core(g, cfg, batch=True)
-    # one split removes the seven smallest leaves and keeps k + 1 = 2
-    assert sorted(core.Z) == [0, 8, 9, 10]
+    # every 4-vertex window holds one bucket of three leaves, so each split
+    # removes its smallest; the sieve stops with k + 1 = 2 leaves left
+    assert sorted(core.Z) == [0, 9, 10]
+    assert [rec.removed for rec in core.removal_log] == [(w,) for w in range(1, 9)]
     assert core_is_sound(g, core.Z, 1, 1)
 
 
@@ -323,28 +358,30 @@ def test_reduce_dominators_empty_z():
 def test_kernel_star_frozen():
     g = star(10)
     ki = kernel_pipeline(g, CoreConfig(r=1, k=1, ell=4))[2]
-    # Z = {0, 8, 9, 10}; the center alone represents, and every non-Z
+    # Z = {0, 9, 10}; the center alone represents, and every non-Z
     # vertex of H is the gadget's own
-    assert ki.graph.n == 6
+    assert ki.graph.n == 5
     assert ki.k_new == 2
     assert ki.kind == "sieve"
     assert ki.projection_ok
-    assert ki.z_ids == {0: 0, 8: 1, 9: 2, 10: 3}
+    assert ki.z_ids == {0: 0, 9: 1, 10: 2}
     assert ki.y_ids == {0: 0}
-    assert (ki.gadget_v, ki.gadget_v_prime) == (4, 5)
+    assert (ki.gadget_v, ki.gadget_v_prime) == (3, 4)
     assert ki.gadget_internals == () and ki.path_internals == ()
-    assert sorted(ki.graph.edges()) == [(0, 1), (0, 2), (0, 3), (4, 5)]
+    assert sorted(ki.graph.edges()) == [(0, 1), (0, 2), (3, 4)]
 
 
 def test_kernel_stars_keeps_one_representative_per_star():
-    # stars(3, 100) at r = 1: each center's projection contains those of
-    # its leaves, so |Y| = 3 (182 with one representative per projection
-    # class, inclusion-maximal or not)
+    # stars(3, 100) at r = 1: the sieve keeps each center and k + 1 = 4 of
+    # its leaves, and each center's projection contains those of its
+    # leaves, so |Y| = 3 (18 with one representative per projection class,
+    # inclusion-maximal or not)
     g = generate(GenSpec("stars", {"k": 3, "p": 100}))
     core, reps, ki = kernel_pipeline(g, CoreConfig(r=1, k=3, uqw=UqwConfig(delta_k=2)))
-    assert len(core.Z) == 180
+    assert sorted(core.Z) == [0, 97, 98, 99, 100, 101, 198, 199, 200, 201, 202,
+                              299, 300, 301, 302]
     assert sorted(reps.Y) == [0, 101, 202]
-    assert ki.graph.n == 180 + 2
+    assert ki.graph.n == 15 + 2
     assert ki.projection_ok
 
 
@@ -664,8 +701,9 @@ def test_kernel_keeps_the_answer_on_every_family(case):
 
 @st.composite
 def pipeline_cases(draw):
-    """(G, r, k, ell) over every generator family: a tight ``ell`` lets the
-    sieve cut, the default one keeps Z = V(G) on these small graphs."""
+    """(G, r, k, ell) over every generator family: a tight ``ell`` starts
+    the sieve on a small window, the default one on all of these small
+    graphs."""
     g, r, k, _ = draw(kernel_cases())
     return g, r, k, draw(st.sampled_from((k + 2, None)))
 
@@ -699,3 +737,74 @@ def test_pipeline_kernel_never_exceeds_n_plus_one(case):
     for rec in core.removal_log:
         assert rec.removed == rec.bucket[: len(rec.removed)]
         assert set(rec.bucket[-(k + 1):]).isdisjoint(rec.removed)
+
+
+# Batch |V(H)| at criterion-5 settings (40-wide grids, r = 1, arity 2), by k,
+# for heights 16, 24 and 40.
+BATCH_SIZES = {
+    2: (15, 13, 15),
+    3: (17, 17, 17),
+    4: (23, 23, 23),
+    5: (27, 27, 27),
+    6: (32, 29, 31),
+    7: (35, 35, 35),
+    8: (41, 41, 41),
+}
+
+
+def test_batch_kernels_stay_within_the_single_mode_size():
+    for k, want in BATCH_SIZES.items():
+        cfg = CoreConfig(r=1, k=k, ell=max(12 * (k + 2), 64), uqw=UqwConfig(delta_k=2))
+        got = []
+        for h in (16, 24, 40):
+            g = generate(GenSpec("grid", {"w": 40, "h": h}))
+            ki = kernel_pipeline(g, cfg)[2]
+            assert ki.kind == "sieve" and ki.projection_ok
+            got.append(ki.graph.n)
+        assert tuple(got) == want, k
+        # criterion 5's single-mode size, the same on every height
+        g = generate(GenSpec("grid", {"w": 40, "h": 16}))
+        z = domination_core(g, cfg, batch=False).Z
+        single = build_kernel(g, z, reduce_dominators(g, z, 1), 1, k).graph.n
+        assert single == 4 * k + 9
+        assert max(got) <= single
+
+
+def kernel_file(ki):
+    """The kernel file ``kernelize --out`` writes for ``ki``."""
+    return kernel_text(
+        ki.graph, ki.k_new, sorted(ki.z_ids.values()), sorted(ki.y_ids.values()),
+        list(ki.gadget_ids),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pipeline_cases())
+def test_kernel_floor_skips_only_kernels_that_would_be_discarded(case):
+    g, r, k, ell = case
+    cfg = CoreConfig(r=r, k=k, ell=ell)
+    try:
+        core, reps, ki = kernel_pipeline(g, cfg)
+    except DensityError:
+        return  # the sieve refused; no kernel to check
+    built = build_kernel(g, core.Z, reps, r, k)
+    assert kernelize_module._kernel_floor(core.Z, reps.Y, r) <= built.graph.n
+    assert ki.projection_ok
+    # the same file as a pipeline that always builds H
+    with mock.patch.object(kernelize_module, "_kernel_floor", lambda *args: 0):
+        always = kernel_pipeline(g, cfg)[2]
+    assert kernel_file(ki) == kernel_file(always)
+
+
+def test_identity_kernel_of_a_degenerate_graph_is_never_built(monkeypatch):
+    # 65 vertices at ell = 64, as on the degenerate-r1 workload: Z ∪ Y is
+    # all of V(G), so the floor n + 2 already exceeds n + 1
+    g = generate(GenSpec("random_degenerate", {"n": 65, "c": 2, "seed": 11}))
+    calls = []
+    monkeypatch.setattr(
+        kernelize_module, "build_kernel", lambda *args: calls.append(args)
+    )
+    core, reps, ki = kernel_pipeline(g, CoreConfig(r=1, k=2, ell=64))
+    assert calls == []
+    assert len(core.Z) == 64
+    assert ki.kind == "identity" and ki.graph.n == 66 and ki.projection_ok
