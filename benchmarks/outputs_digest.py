@@ -16,7 +16,8 @@ Runs, with ``--deterministic`` added to every command:
 - two splits at odd radius that reach round 2: ``uqw --r 3`` on the
   criterion-9 grid and on the 12x12 grid of the README;
 - among the inputs, ``core`` on the 12x12 grid in batch and single mode,
-  and a ``gen`` given both ``--seed`` and ``--params seed=``;
+  a ``gen`` given both ``--seed`` and ``--params seed=``, and a ``gen``
+  given one parameter twice;
 - every command of each ``perfbench`` workload at ``--seed``, from the
   manifest that ``perfbench/workloads.py`` writes when run as a script.
 
@@ -90,8 +91,8 @@ ODD_RADIUS = [
 ]
 
 # The inputs of the four lists above, generated first, and after the 12x12
-# grid the two ``core`` runs that pin the sieve's ``removed`` list and a
-# ``gen`` given two seeds.
+# grid the two ``core`` runs that pin the sieve's ``removed`` list, a
+# ``gen`` given two seeds and a ``gen`` given one parameter twice.
 INPUTS = [
     ["gen", "--family", "grid", "--params", "w=6,h=5", "--out", "g.el"],
     ["gen", "--family", "grid", "--params", "w=3,h=3", "--out", "g9.el"],
@@ -101,6 +102,7 @@ INPUTS = [
     ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20"],
     ["core", "--graph", "g12.el", "--r", "1", "--k", "3", "--ell", "20", "--single"],
     ["gen", "--family", "random_degenerate", "--params", "n=6,c=2,seed=5", "--seed", "7"],
+    ["gen", "--family", "path", "--params", "n=3,n=5"],
     ["gen", "--family", "clique", "--params", "n=40", "--out", "dense.el"],
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
 ]

@@ -25,14 +25,18 @@ It also times ``pure.tree_round`` on the tail-free rounds of the core
 sieve: one batch-mode ``domination_core`` on the 40×40 grid at acceptance
 criterion 5's settings (r = 1, k = 8, ell = 120, delta_k = 2) records them
 once, in call order, over its consecutive windows. They are then replayed
-on one shared graph, where each round resumes the tree of the previous
-round of its shape, and on a fresh graph per call, where every round
-builds its tree anew. Both graphs share the grid's neighbour bitsets, and
-each repeat starts from a new shared graph. The same replay runs on the
-tail-free arity-4 rounds (four free slots, t = 3) of a batch-mode
+on one shared graph, where a round whose sequence extends that of the
+previous round of its shape resumes that round's tree, and on a fresh
+graph per call, where every round builds its tree anew. Both graphs share
+the grid's neighbour bitsets, and each repeat starts from a new shared
+graph. The grid's batch removals start at the window's smallest vertex, so
+no grid round shares a prefix with the last: that row times the check for
+one. The same replay runs on
+the tail-free arity-4 rounds (four free slots, t = 3) of a batch-mode
 sieve on a 65-vertex ``random_degenerate`` graph at r = 1, k = 2,
 ell = 64, delta_k = 4, the ``degenerate-r1`` workload's settings, whose
-window widens from 64 vertices to all 65.
+window widens from 64 vertices to all 65; only these rounds keep
+insertions.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/primitives.py --repeats 7

@@ -41,20 +41,16 @@ both slots positive (phi_i, i >= 2) stay on the descent: their trees are
 shallow, and enumerating two-hop neighbors costs more than it saves. Both
 shortcuts give the tree, depths and tie rule of the descent they replace.
 
-Every tail-free round with two or more free slots resumes. The core sieve
-splits windows that overlap almost entirely, so such a round stores its
-tree on ``g`` (``Graph._rounds``), keyed by (kind, i_split, arity). The
-tree maps each label to its node in insertion order, which gives both the
-sequence it was built from and the order to undo in, and it keeps the
-earlier deepest node each time a label went deeper than all before it. The
-next call of that shape on ``g`` finds the longest common prefix with the
-stored sequence. When the prefix is at least as long as the part past it,
-the insertions past it are undone, newest first; otherwise the round
-starts a fresh tree, since undoing would cost more than it keeps. Either
-way only the rest of the sequence is inserted. Insertion is causal, the
-tree after seq[:j] depends only on seq[:j], so the result equals that of a
-fresh round. A call that raises drops the stored tree of its shape. Rounds
-with a tail build a fresh tree each call.
+A tail-free round with two or more free slots stores its tree on ``g``
+(``Graph._rounds``), keyed by (kind, i_split, arity), because the window
+that the core sieve widens to extends the window it split last. The tree
+maps each label to its node in insertion order, which is the sequence it
+was built from. When the next call of that shape on ``g`` extends that
+sequence, only the extension is inserted; any other sequence starts a
+fresh tree. Insertion is causal, the tree after seq[:j] depends only on
+seq[:j], so the result equals that of a fresh round. A call that raises
+drops the stored tree of its shape. Rounds with a tail build a fresh tree
+each call.
 
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
@@ -108,13 +104,12 @@ class _Node:
     a tree holds no reference cycle and is freed as soon as it is dropped,
     even after it outlived its round in a graph's cache."""
 
-    __slots__ = ("label", "up", "depth", "sig", "children")
+    __slots__ = ("label", "up", "depth", "children")
 
-    def __init__(self, label: int, up: int, depth: int, sig: int) -> None:
+    def __init__(self, label: int, up: int, depth: int) -> None:
         self.label = label
         self.up = up
         self.depth = depth
-        self.sig = sig  # the key under which the parent holds this node
         self.children: dict[int, _Node] = {}
 
 
@@ -135,9 +130,10 @@ def tree_round(
     than q-1 have no tuples to evaluate and chain. ``seq`` must not repeat a
     vertex; with two or more free slots a repeat raises ValueError.
 
-    Every tail-free round with two or more free slots resumes the tree that
-    the last call of its shape on ``g`` left; the result is a fresh list,
-    equal to the one a fresh graph gives.
+    Every tail-free round with two or more free slots whose ``seq``
+    extends the sequence of the last call of its shape on ``g`` resumes the
+    tree that call left; the result is a fresh list, equal to the one a
+    fresh graph gives.
     """
     tail = tuple(tail)
     q = arity - len(tail)
@@ -172,7 +168,7 @@ def tree_round(
         if t == 1 and not positive[0]:
             return _Runs(_psi_deviants(g.adj, bits, base, positive[1]))
         if t == 1 and not positive[1]:
-            return _Runs(*_phi_deviants(g.adj, bits, base))
+            return _Runs(_phi_deviants(g.adj, bits, base))
         return _Descent(bits, positive, base, t)
 
     if tail:
@@ -189,27 +185,16 @@ def _resume(
     new_tree: "Callable[[], _Runs | _Descent]",
 ) -> list[int]:
     """Grow the round of shape ``key`` on ``g`` from the tree its last call
-    left: keep the common prefix with that call's sequence when it is at
-    least as long as the part past it, else start from ``new_tree()``. The
-    stored tree leaves the cache while it grows, so a call that raises
-    drops it."""
+    left when ``seq`` extends that call's sequence, else from
+    ``new_tree()``. The stored tree leaves the cache while it grows, so a
+    call that raises drops it."""
     trees = g._rounds
     if trees is None:
         trees = g._rounds = {}
     tree = trees.pop(key, None)
-    keep = 0
-    if tree is not None:
-        for x, y in zip(tree.placed, seq):
-            if x != y:
-                break
-            keep += 1
-        if 2 * keep >= len(tree.placed):
-            tree.truncate(keep)
-        else:
-            tree, keep = None, 0
-    if tree is None:
+    if tree is None or list(tree.placed) != list(seq[: len(tree.placed)]):
         tree = new_tree()
-    tree.extend(seq[keep:])
+    tree.extend(seq[len(tree.placed) :])
     trees[key] = tree
     return tree.branch()
 
@@ -219,21 +204,18 @@ class _Descent:
     root along the children its signatures pick.
 
     ``placed`` maps each label inserted so far to its node, in insertion
-    order, and ``bests`` stacks the deepest node as it was before each
-    insertion that went deeper than every node before it: that is all
-    :meth:`truncate` needs to take insertions back.
+    order, and ``best`` is the deepest node, the earliest on ties.
     """
 
-    __slots__ = ("bits", "positive", "base", "t", "root", "best", "bests", "placed")
+    __slots__ = ("bits", "positive", "base", "t", "root", "best", "placed")
 
     def __init__(self, bits: list[int], positive: list[bool], base: int, t: int) -> None:
         self.bits = bits
         self.positive = positive
         self.base = base
         self.t = t
-        self.root = _Node(-1, -1, 0, 0)
+        self.root = _Node(-1, -1, 0)
         self.best = self.root
-        self.bests: list[_Node] = []
         self.placed: dict[int, _Node] = {}
 
     def extend(self, seq: Iterable[int]) -> None:
@@ -245,7 +227,7 @@ class _Descent:
         # slots: combination positions left per tuple once z and the
         # parent's label are folded in; nodes shallower than t just chain
         slots = t - 1
-        root, best, bests, placed = self.root, self.best, self.bests, self.placed
+        root, best, placed = self.root, self.best, self.placed
         path: list[int] = []
         for z in seq:
             if z in placed:
@@ -259,11 +241,10 @@ class _Descent:
             while True:
                 child = node.children.get(sig)
                 if child is None:
-                    child = _Node(z, node.label, depth + 1, sig)
+                    child = _Node(z, node.label, depth + 1)
                     node.children[sig] = child
                     placed[z] = child
                     if child.depth > best.depth:
-                        bests.append(best)
                         best = child
                     break
                 node = child
@@ -282,16 +263,6 @@ class _Descent:
                     sig = 1
                 else:
                     sig = _combination_signature(mask, path, depth - 1, slots, positive, bits)
-        self.best = best
-
-    def truncate(self, keep: int) -> None:
-        """Take back the insertions after the first ``keep``, newest first."""
-        placed, best, bests = self.placed, self.best, self.bests
-        for _ in range(len(placed) - keep):
-            node = placed.popitem()[1]
-            del self._parent(node).children[node.sig]
-            if node is best:
-                best = bests.pop()
         self.best = best
 
     def branch(self) -> list[int]:
@@ -327,8 +298,7 @@ class _Runs:
     the root's single child each node has a default bit that does not depend
     on z, and ``deviants(z)`` names the labels already in the tree where z's
     bit differs from it (it may name others too; they are skipped), or is
-    None when z deviates at every node. ``forget(z)``, when given, takes
-    back what ``deviants(z)`` recorded about z.
+    None when z deviates at every node.
 
     The tree is kept as runs, maximal chains of default children:
     ``runs[i]`` holds the labels in order, ``start[i]`` the depth of its
@@ -338,37 +308,26 @@ class _Runs:
     found once per candidate instead of one step per node.
 
     ``placed`` maps each label inserted so far to its (run, index) node, in
-    insertion order, and ``bests`` stacks the deepest node as it was before
-    each insertion that went deeper than every node before it: that is all
-    :meth:`truncate` needs to take insertions back.
+    insertion order, and ``best`` is the deepest node, the earliest on ties.
     """
 
-    __slots__ = (
-        "deviants", "forget", "runs", "start", "hang", "placed", "off_child",
-        "best", "bests",
-    )
+    __slots__ = ("deviants", "runs", "start", "hang", "placed", "off_child", "best")
 
-    def __init__(
-        self,
-        deviants: Callable[[int], Iterable[int] | None],
-        forget: Callable[[int], None] | None = None,
-    ) -> None:
+    def __init__(self, deviants: Callable[[int], Iterable[int] | None]) -> None:
         self.deviants = deviants
-        self.forget = forget
         self.runs: list[list[int]] = []
         self.start: list[int] = []
         self.hang: list[tuple[int, int] | None] = []
         self.placed: dict[int, tuple[int, int]] = {}
         self.off_child: dict[int, int] = {}  # label -> run hanging off its other child
         self.best: tuple[int, int] | None = None
-        self.bests: list[tuple[int, int] | None] = []
 
     def extend(self, seq: Iterable[int]) -> None:
         """Insert ``seq`` after the labels already in the tree; a label
         already in it raises ValueError and leaves the tree unusable."""
         runs, start, hang = self.runs, self.start, self.hang
         placed, off_child, deviants = self.placed, self.off_child, self.deviants
-        best, bests = self.best, self.bests
+        best = self.best
         best_depth = start[best[0]] + best[1] if best else 0
         for z in seq:
             if z in placed:
@@ -407,30 +366,7 @@ class _Runs:
                     off_child[runs[parent[0]][parent[1]]] = run
             at = placed[z] = (run, j)
             if depth > best_depth:
-                bests.append(best)
                 best, best_depth = at, depth
-        self.best = best
-
-    def truncate(self, keep: int) -> None:
-        """Take back the insertions after the first ``keep``, newest first.
-        A label at index 0 of its run heads the newest run left."""
-        runs, hang, off_child, placed = self.runs, self.hang, self.off_child, self.placed
-        forget, best, bests = self.forget, self.best, self.bests
-        for _ in range(len(placed) - keep):
-            z, at = placed.popitem()
-            if at == best:
-                best = bests.pop()
-            run, j = at
-            if j:
-                runs[run].pop()
-            else:
-                runs.pop()
-                self.start.pop()
-                parent = hang.pop()
-                if parent:
-                    del off_child[runs[parent[0]][parent[1]]]
-            if forget is not None:
-                forget(z)
         self.best = best
 
     def branch(self) -> list[int]:
@@ -448,13 +384,12 @@ class _Runs:
 
 def _phi_deviants(
     adj: Sequence[Sequence[int]], bits: list[int], base: int
-) -> tuple[Callable[[int], list[int]], Callable[[int], None]]:
+) -> Callable[[int], list[int]]:
     """Slot 0 positive, z negative: a label l with A = base & N(l) has
     default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
     Labels with A non-empty are indexed by the lowest vertex of A, which is
     a neighbor of every z that deviates there. Each call of ``deviants``
-    indexes z after finding its deviations; ``forget`` takes the newest
-    entry of z back."""
+    indexes z after finding its deviations."""
     by_low: dict[int, list[tuple[int, int]]] = {}
 
     def deviants(z: int) -> list[int]:
@@ -465,12 +400,7 @@ def _phi_deviants(
             by_low.setdefault((a & -a).bit_length() - 1, []).append((z, a))
         return out
 
-    def forget(z: int) -> None:
-        a = base & bits[z]
-        if a:
-            by_low[(a & -a).bit_length() - 1].pop()
-
-    return deviants, forget
+    return deviants
 
 
 def _psi_deviants(

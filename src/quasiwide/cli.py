@@ -123,6 +123,10 @@ def _parse_params(text: str) -> dict[str, int]:
             raise InputError(f"parameter {part!r} is not of the form name=value")
         key, _, value = part.partition("=")
         key = key.strip()
+        if not key:
+            raise InputError(f"parameter {part!r} has no name")
+        if key in params:
+            raise InputError(f"parameter {key!r} is given twice")
         try:
             params[key] = int(value)
         except ValueError:

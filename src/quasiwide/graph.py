@@ -37,8 +37,9 @@ class Graph:
 
     ``adj[v]`` is the sorted tuple of neighbors of ``v`` and ``c`` is the
     degeneracy. Treat instances as frozen; the private fields only cache
-    derived values and, in ``_rounds``, the trees of the type-tree rounds
-    that ``_kernels.pure`` resumes from one call to the next.
+    derived values and, in ``_rounds``, the tree of the last tail-free
+    type-tree round of each shape, which ``_kernels.pure`` resumes when the
+    next round of that shape extends its sequence.
     """
 
     n: int

@@ -407,9 +407,10 @@ def kernel_pipeline(
     itself. Its Z- and Y-copies are all of V(G) under their own ids and its
     gadget is vertex n. H is built only when its floor, |Z ∪ Y| + 2 +
     (r - 1)(|Y \\ Z| + 1), is at most n + 1; otherwise H would be
-    discarded, and the identity kernel is returned without it. Its ``projection_ok`` reports the check of H when
-    H was built, and is True when it was not: the identity kernel's
-    projections are G's own, so they hold by construction.
+    discarded, and the identity kernel is returned without it. Its
+    ``projection_ok`` reports the check of H when H was built, and is True
+    when it was not: the identity kernel's projections are G's own, so they
+    hold by construction.
 
     ``stage(name)`` wraps each step, named "core", "reduce" and "build"; the
     default wraps nothing. The steps are looked up in this module when

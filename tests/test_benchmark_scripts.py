@@ -28,6 +28,21 @@ def test_primitives_script_runs_every_case():
         assert shared.split()[-2] == fresh.split()[-2] != "0"
 
 
+def test_ab_passes_script_runs_a_pair():
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_passes.py"), "--parent", str(root),
+         "--change", str(root), "--workload", "solver-mix", "--seed", "1", "--pairs", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split()[0] for row in rows[1:3]] == ["parent", "change"]
+    # one pair: one side won it, unless the two times tie
+    assert {row.split()[-1] for row in rows[1:3]} <= {"0/1", "1/1"}
+    assert rows[3] == "outputs byte-equal: yes"
+
+
 def test_backend_compare_script_runs_every_case(native, capsys):
     # the native fixture puts the compiled round where the script imports it
     path = SCRIPTS / "backend_compare.py"

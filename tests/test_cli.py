@@ -516,6 +516,23 @@ def test_gen_refuses_two_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, message", [
+    ("n=3,n=5", "error: parameter 'n' is given twice\n"),
+    ("n=3, n =5", "error: parameter 'n' is given twice\n"),
+    ("=3", "error: parameter '=3' has no name\n"),
+    ("n=3, =5", "error: parameter ' =5' has no name\n"),
+])
+def test_gen_refuses_a_repeated_or_empty_parameter_name(tmp_path, capsys, params, message):
+    from quasiwide.cli import main
+
+    out = tmp_path / "g.el"
+    assert main(["gen", "--family", "path", "--params", params, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert not out.exists()
+
+
 _GRID_BENCH = ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1",
                "--out", "b.csv"]
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from kernel_graphs import seeded_graphs
 from quasiwide import _kernels, generators
+from quasiwide._kernels import pure
 from quasiwide import kernelize as kernelize_module
 from quasiwide.check import recheck_core, recheck_representatives
 from quasiwide.errors import ConfigError, DensityError, InputError, InternalError
@@ -265,23 +266,51 @@ def test_sieve_cuts_b_by_the_size_of_s(monkeypatch):
     assert rem.bucket == tuple(sorted(spread[:729]))
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_sieve_resumed_rounds_match_fresh_rounds(monkeypatch, batch):
-    # criterion-5 settings at k = 8: consecutive windows overlap, so the
-    # tail-free rounds resume on the shared graph
-    g = generate(GenSpec("grid", {"w": 40, "h": 16}))
-    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
-    resumed = domination_core(g, cfg, batch=batch)
+def _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, batch):
+    """Run the sieve on ``g`` with the pure rounds, which resume, and again
+    with every round on a fresh copy of ``g``; check that both give the
+    same core, and return how many rounds kept a stored tree that held
+    insertions."""
+    resumed = 0
+    real_resume = pure._resume
+
+    def counting(h, key, seq, new_tree):
+        nonlocal resumed
+        stored = (h._rounds or {}).get(key)
+        kept = stored is not None and len(stored.placed) > 0
+        branch = real_resume(h, key, seq, new_tree)
+        resumed += kept and h._rounds[key] is stored
+        return branch
+
+    monkeypatch.setattr(pure, "_resume", counting)
+    monkeypatch.setattr(_kernels, "tree_round", pure.tree_round)
+    shared = domination_core(g, cfg, batch=batch)
     assert g._rounds
-    real = _kernels.tree_round
 
     def on_a_fresh_copy(h, *args):
-        return real(Graph(h.n, h.adj, _bits=adjacency_bitsets(h)), *args)
+        return pure.tree_round(Graph(h.n, h.adj, _bits=adjacency_bitsets(h)), *args)
 
     monkeypatch.setattr(_kernels, "tree_round", on_a_fresh_copy)
     fresh = domination_core(Graph(g.n, g.adj), cfg, batch=batch)
-    assert fresh.Z == resumed.Z
-    assert fresh.removal_log == resumed.removal_log
+    assert fresh.Z == shared.Z
+    assert fresh.removal_log == shared.removal_log
+    return resumed
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_sieve_resumed_rounds_match_fresh_rounds(monkeypatch, batch):
+    # criterion-5 settings at k = 8
+    g = generate(GenSpec("grid", {"w": 40, "h": 16}))
+    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
+    _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, batch)
+
+
+def test_sieve_resumes_rounds_when_the_window_widens(monkeypatch):
+    # the degenerate-r1 workload's settings: the 64-vertex window widens to
+    # all 65, which extends the last sequence of each tail-free round
+    g = generate(GenSpec("random_degenerate", {"n": 65, "c": 2, "seed": 0}))
+    cfg = CoreConfig(r=1, k=2, ell=64)
+    assert _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, True) >= 1
 
 
 def _star_core():

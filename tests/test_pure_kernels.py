@@ -299,6 +299,41 @@ def test_tail_free_rounds_resume_on_a_shared_graph(index, shuffle, first, steps)
     assert g._rounds
 
 
+def test_tail_free_round_resumes_only_an_extension(monkeypatch):
+    # every extend call, with the tree it grew and the labels it inserted
+    inserted = []
+    for cls in (pure._Runs, pure._Descent):
+        def extend(tree, seq, real=cls.extend):
+            inserted.append((tree, list(seq)))
+            real(tree, seq)
+
+        monkeypatch.setattr(cls, "extend", extend)
+    base = GRAPHS[5]
+    perm = list(range(base.n))
+    random.Random(3).shuffle(perm)
+    first = perm[:10]
+    nexts = {
+        "identical": (first, True),
+        "extended": (perm[:16], True),
+        "truncated": (perm[:6], False),
+        "suffix replaced": (perm[:9] + perm[12:16], False),
+        "disjoint": (perm[10:18], False),
+    }
+    for shape in formulas(4):
+        for op, (seq, extends) in nexts.items():
+            g = Graph(base.n, base.adj)
+            pure.tree_round(g, first, *shape, ())
+            stored = g._rounds[shape]
+            del inserted[:]
+            got = pure.tree_round(g, seq, *shape, ())
+            tree = g._rounds[shape]
+            if extends:
+                assert tree is stored and inserted == [(tree, seq[len(first) :])], (op, shape)
+            else:
+                assert tree is not stored and inserted == [(tree, seq)], (op, shape)
+            assert got == pure.tree_round(Graph(base.n, base.adj), seq, *shape, ()), (op, shape)
+
+
 def _disconnected():
     # two triangles, a path of three and an isolated vertex
     return build_graph(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8)])
