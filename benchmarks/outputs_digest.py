@@ -48,7 +48,7 @@ CRITERION_9 = [
     ["gen", "--family", "random_degenerate", "--params", "n=30,c=2,seed=9"],
     ["uqw", "--graph", "g.el", "--A", "all", "--r", "2", "--m", "4"],
     ["uqw", "--graph", "g.el", "--A", "ids.txt", "--r", "1", "--m", "2"],
-    ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "2", "--m", "5"],
+    ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "2"],
     ["ladder", "--graph", "g.el", "--max-k", "4"],
     ["core", "--graph", "g.el", "--r", "1", "--k", "2", "--ell", "6"],
     ["kernelize", "--graph", "g.el", "--r", "1", "--k", "2", "--ell", "6",
@@ -107,6 +107,12 @@ INPUTS = [
     ["gen", "--family", "clique", "--params", "n=16", "--out", "k16.el"],
 ]
 
+# (group, commands) in run order; the workloads' commands follow.
+TABLES = (
+    ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS),
+    ("branch", BRANCHES), ("odd-radius", ODD_RADIUS),
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -146,10 +152,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         Path("ids.txt").write_text("0\n1\n2\n7\n")
-        for group, commands in (
-            ("input", INPUTS), ("criterion-9", CRITERION_9), ("refusal", REFUSALS),
-            ("branch", BRANCHES), ("odd-radius", ODD_RADIUS),
-        ):
+        for group, commands in TABLES:
             for argv in commands:
                 print(digest_line(cli_main, group, argv + ["--deterministic"]))
         for workload in WORKLOADS:

@@ -27,8 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
-from pathlib import Path
+from dataclasses import asdict, replace
 from typing import Any, Collection, Iterator, Sequence
 
 from .check import (
@@ -42,7 +41,7 @@ from .check import (
 from .errors import ConfigError, DensityError, InfeasibleError, InputError
 from .generators import GenSpec, generate
 from .graph import Graph
-from .io import edge_list_text, kernel_text, load_graph, load_id_list
+from .io import edge_list_text, kernel_text, load_graph, load_id_list, save_graph, save_text
 from .kernelize import CoreConfig, domination_core, kernel_pipeline
 from .logic import delta_k, extract_indiscernible, is_indiscernible, ladder_index
 from .solvers import SteinerInstance, brute_cds, cds_fpt, dreyfus_wagner, exact_drds
@@ -199,11 +198,10 @@ def cmd_gen(args: argparse.Namespace, run: _Run) -> None:
     else:
         _refuse_unread(args, ("seed",), (), f"--family {args.family}")
     g = generate(GenSpec(family=args.family, params=params))
-    text = edge_list_text(g)
     if args.out:
-        Path(args.out).write_text(text)
+        save_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(edge_list_text(g))
 
 
 def cmd_uqw(args: argparse.Namespace, run: _Run) -> Outcome:
@@ -211,8 +209,12 @@ def cmd_uqw(args: argparse.Namespace, run: _Run) -> Outcome:
     a = _load_vertex_spec(args.A, g)
     run.options = {"graph": args.graph, "A": args.A, "r": args.r, "m": args.m}
     cfg = _uqw_config(args)
+    # uqw_split refuses a bad radius first
+    if args.m < 1 and args.r >= 1:
+        raise InputError(f"target size must be positive, got {args.m}")
     with run("uqw"):
-        res = uqw_split(g, a, args.r, args.m, cfg)
+        res = uqw_split(g, a, args.r, cfg)
+    res = replace(res, B=res.B[: args.m])
     result = {"S": sorted(res.S), "B": list(res.B), "rounds": [asdict(log) for log in res.rounds]}
     return result, {"independent": uqw_verify(g, res, a, args.r)}
 
@@ -221,12 +223,12 @@ def cmd_indiscernible(args: argparse.Namespace, run: _Run) -> Outcome:
     g = run.graph = load_graph(args.graph)
     seq = _load_vertex_spec(args.seq, g)
     delta = delta_k(args.delta)
-    run.options = {"graph": args.graph, "seq": args.seq, "delta": args.delta, "m": args.m}
+    run.options = {"graph": args.graph, "seq": args.seq, "delta": args.delta}
     with run("extract"):
-        out = extract_indiscernible(g, seq, delta, args.m)
+        out = extract_indiscernible(g, seq, delta)
     with run("oracle"):
         ok = is_indiscernible(g, out, delta)
-    return {"sequence": list(out), "length": len(out), "target": args.m}, {"indiscernible": ok}
+    return {"sequence": list(out), "length": len(out)}, {"indiscernible": ok}
 
 
 def cmd_ladder(args: argparse.Namespace, run: _Run) -> Outcome:
@@ -266,7 +268,7 @@ def cmd_kernelize(args: argparse.Namespace, run: _Run) -> Outcome:
     run.options = {**_core_options(args, cfg), "out": args.out, "verify": args.verify}
     core, reps, ker = kernel_pipeline(g, cfg, run)
     z_ids, y_ids = sorted(ker.z_ids.values()), sorted(ker.y_ids.values())
-    Path(args.out).write_text(kernel_text(ker.graph, ker.k_new, z_ids, y_ids, list(ker.gadget_ids)))
+    save_text(args.out, kernel_text(ker.graph, ker.k_new, z_ids, y_ids, list(ker.gadget_ids)))
     verified = {
         "projection": ker.projection_ok,
         "removals_justified": recheck_core(g, core, cfg),
@@ -413,7 +415,7 @@ def cmd_bench(args: argparse.Namespace, run: _Run) -> Outcome:
     # the columns are the keys of a row, in _bench_cell's order
     lines = [",".join(rows[0])]
     lines.extend(",".join(cell_text(value) for value in row.values()) for row in rows)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    save_text(args.out, "\n".join(lines) + "\n")
     return {"rows": len(rows), "out": args.out}, None
 
 
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--A", required=True, help="'all' or a file of vertex ids")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="report the first m vertices of B")
     _add_uqw_flags(p)
 
     p = sub.add_parser(
@@ -475,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--seq", required=True, help="'all' or a file of vertex ids")
     p.add_argument("--delta", type=int, required=True, help="formula family arity")
-    p.add_argument("--m", type=int, required=True, help="target length")
 
     p = sub.add_parser("ladder", parents=[common], help="ladder-index diagnostic")
     p.add_argument("--graph", required=True)

@@ -87,6 +87,14 @@ def _read(path: str | Path) -> str:
         raise InputError(f"cannot read {p}: {exc}") from None
 
 
+def save_text(path: str | Path, text: str) -> None:
+    p = Path(path)
+    try:
+        p.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {p}: {exc}") from None
+
+
 def load_id_list(path: str | Path) -> list[int]:
     return parse_id_list(_read(path))
 
@@ -108,7 +116,7 @@ def edge_list_text(g: Graph) -> str:
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(edge_list_text(g))
+    save_text(path, edge_list_text(g))
 
 
 def kernel_text(

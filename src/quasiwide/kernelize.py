@@ -141,7 +141,7 @@ def find_irrelevant_dominatee(
     window = cfg.effective_ell
     while True:
         a = zs[:window]
-        res = uqw_split(g, a, 2 * r, len(a), cfg.uqw)
+        res = uqw_split(g, a, 2 * r, cfg.uqw)
         if not uqw_verify(g, res, a, 2 * r):
             raise InternalError(
                 f"splitter returned a set that is not {2 * r}-independent "

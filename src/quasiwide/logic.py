@@ -137,9 +137,7 @@ def is_indiscernible(g: Graph, seq: Sequence[int], delta: Sequence[FormulaId]) -
     return True
 
 
-def extract_indiscernible(
-    g: Graph, seq: Sequence[int], delta: Sequence[FormulaId], m: int
-) -> list[int]:
+def extract_indiscernible(g: Graph, seq: Sequence[int], delta: Sequence[FormulaId]) -> list[int]:
     """Extract an indiscernible subsequence via type-tree refinement.
 
     Formulas are processed in ``delta`` order (a subsequence stays
@@ -149,19 +147,13 @@ def extract_indiscernible(
     followed by that tail. Sequences no longer than a formula's arity are
     left alone by it (at most one tuple exists).
 
-    ``m`` is the caller's target length: the result may be shorter and the
-    caller decides what that means; an already-indiscernible input comes back
-    unchanged.
+    An already-indiscernible input comes back unchanged.
     """
-    if m < 1:
-        raise InputError(f"target length must be positive, got {m}")
     cur = list(seq)
     if len(set(cur)) != len(cur):
         raise InputError("sequence elements must be distinct")
     check_vertices(g, cur)
     for f in delta:
-        if len(cur) <= f.k:
-            continue
         for fixed in range(f.k):
             if len(cur) <= f.k:
                 break

@@ -255,8 +255,8 @@ def cds_fpt(
     """A connected dominating set of size <= k, or None.
 
     The search tree grows a partial solution X. While the undominated area W
-    is at least ``K_threshold`` strong, the splitter is asked for k + 1
-    vertices of W pairwise more than 2 apart in G - S: if it delivers more
+    is at least ``K_threshold`` strong, the splitter looks for vertices of W
+    pairwise more than 2 apart in G - S: if it delivers more
     spread than the remaining budget could dominate separately, any solution
     extending X must meet S, so S is the branching set (an empty S then
     refutes X outright). Small or narrow W goes to the leaf routine, which
@@ -406,7 +406,7 @@ def cds_fpt(
         if w_count > (k - i) * max_cdeg:
             return None
         if w_count >= kt:
-            res = uqw_split(g, _bits_of(w_mask), 2, k + 1, cfg)
+            res = uqw_split(g, _bits_of(w_mask), 2, cfg)
             if len(res.B) >= k - i + 1:
                 if not res.S:
                     return None

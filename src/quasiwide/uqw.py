@@ -112,7 +112,7 @@ def _independent_subsequence(h: Graph, seq: Sequence[int]) -> list[int]:
     """An independent subsequence of ``seq`` in ``h``, via edge-atom
     extraction; if that lands on the clique side of the dichotomy, fall back
     to greedy non-adjacent selection in sequence order."""
-    ext = extract_indiscernible(h, list(seq), delta_k(0), len(seq))
+    ext = extract_indiscernible(h, list(seq), delta_k(0))
     if len(ext) >= 2 and ext[1] in h.adj[ext[0]]:
         kept: list[int] = []
         for v in seq:
@@ -122,14 +122,11 @@ def _independent_subsequence(h: Graph, seq: Sequence[int]) -> list[int]:
     return ext
 
 
-def uqw_split(
-    g: Graph, A: Sequence[int], r: int, m: int, cfg: UqwConfig | None = None
-) -> UqwResult:
+def uqw_split(g: Graph, A: Sequence[int], r: int, cfg: UqwConfig | None = None) -> UqwResult:
     """Split A into deletions S and an r-independent-in-(G - S) subset B.
 
-    B is a subset of A, disjoint from S, truncated to at most ``m`` elements
-    only at the very end; ``m`` changes nothing else, so the split for ``m``
-    is the split for ``len(A)`` with B cut to ``m``. Raises
+    B is a subset of A, disjoint from S, as large as the extraction leaves
+    it; a caller that wants fewer vertices cuts B itself. Raises
     :class:`DensityError` when S would exceed ``cfg.s_max``, carrying the
     extraction sequence that witnessed the density.
     """
@@ -137,8 +134,6 @@ def uqw_split(
         cfg = UqwConfig()
     if r < 1:
         raise InputError(f"radius must be positive, got {r}")
-    if m < 1:
-        raise InputError(f"target size must be positive, got {m}")
     a_list = list(A)
     a_sorted = sorted(set(a_list))
     if not a_sorted:
@@ -165,7 +160,7 @@ def uqw_split(
             con = contract_balls(g, [con.centers[c] for c in chosen], i - 1, avoid=frozenset(z))
             h, seq, base, is_ball = con.graph, list(range(len(con.centers))), con.base, con.is_ball
 
-        extracted = extract_indiscernible(h, seq, delta, m)
+        extracted = extract_indiscernible(h, seq, delta)
         # A single extracted vertex witnesses no density: each of its
         # neighbours is adjacent to all of the extraction. Such a round
         # deletes nothing.
@@ -199,7 +194,7 @@ def uqw_split(
             "round %d: |A|=%d extracted=%d |S|=%d |B|=%d", i, len(seq), len(extracted), len(z), len(b)
         )
 
-    return UqwResult(S=frozenset(z), B=tuple(b[:m]), rounds=tuple(logs))
+    return UqwResult(S=frozenset(z), B=tuple(b), rounds=tuple(logs))
 
 
 __all__ = [

@@ -60,8 +60,7 @@ def test_criterion_1_extraction_oracle():
         rng = SplitMix64(seed)
         seq = _sample_distinct(rng, n, 1 + rng.below(min(20, n)))
         delta = delta_k(2 + seed % 2)
-        m = 1 + rng.below(8)
-        out = extract_indiscernible(g, seq, delta, m)
+        out = extract_indiscernible(g, seq, delta)
         assert len(out) >= 1
         it = iter(seq)
         assert all(any(x == y for y in it) for x in out), (
@@ -101,7 +100,7 @@ def test_criterion_2_uqw_splits_verify():
             ks, p = 2 + i % 4, 3 + i % 5
             g = generate(GenSpec("stars", {"k": ks, "p": p}))
         try:
-            res = uqw_split(g, list(range(g.n)), r, 3 + i % 6, cfg)
+            res = uqw_split(g, list(range(g.n)), r, cfg)
         except DensityError:
             continue  # a certified refusal is not a success case
         assert uqw_verify(g, res, list(range(g.n)), r), f"instance {i} failed verify"
@@ -421,7 +420,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ("gen", "--family", "random_degenerate", "--params", "n=30,c=2,seed=9"),
         ("uqw", "--graph", str(graph), "--A", "all", "--r", "2", "--m", "4"),
         ("uqw", "--graph", str(graph), "--A", str(ids), "--r", "1", "--m", "2"),
-        ("indiscernible", "--graph", str(graph), "--seq", "all", "--delta", "2", "--m", "5"),
+        ("indiscernible", "--graph", str(graph), "--seq", "all", "--delta", "2"),
         ("ladder", "--graph", str(graph), "--max-k", "4"),
         ("core", "--graph", str(graph), "--r", "1", "--k", "2", "--ell", "6"),
         ("kernelize", "--graph", str(graph), "--r", "1", "--k", "2", "--ell", "6",

@@ -1,9 +1,12 @@
 """Smoke tests for the timing scripts under ``benchmarks/``: they run to the
 end and print every case, so a change to the code they call cannot leave
 them broken unnoticed. ``backend_compare.py`` runs against the compiled
-round of the ``native`` fixture (``conftest.py``)."""
+round of the ``native`` fixture (``conftest.py``), and ``outputs_digest.py``
+against this checkout."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +57,29 @@ def test_backend_compare_script_runs_every_case(native, capsys):
     assert [row.split()[:2] for row in rows] == [
         ["tree_round", name] for name in ("phi_1^3", "psi_1^3", "phi_1^4", "psi_1^4")
     ]
+
+
+def test_outputs_digest_script_runs_every_command(tmp_path):
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "outputs_digest.py"), "--seed", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    spec = importlib.util.spec_from_file_location("outputs_digest", SCRIPTS / "outputs_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = sum(len(commands) for _, commands in script.TABLES)
+    for workload in script.WORKLOADS:
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "workloads.py"),
+             "--workload", workload, "--seed", "1", "--out", str(tmp_path / workload)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True, timeout=300,
+        )
+        expected += len(json.loads((tmp_path / workload / "manifest.json").read_text()))
+    assert len(lines) == expected
+    for line in lines:
+        # each line is its group, then the command's exit code
+        assert line.split()[1].isdigit(), line
+        assert "raised-" not in line

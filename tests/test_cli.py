@@ -82,6 +82,58 @@ def test_uqw_density_failure_exit_2(tmp_path):
     assert doc["timings_ms"] == {"uqw": 0.0}
 
 
+def test_uqw_target_size_only_cuts_b(tmp_path, capsys):
+    # --m cuts the report's B and changes nothing else; the halfgraph
+    # refuses at --s-max 2, so each M must give the same refusal
+    from dataclasses import asdict
+
+    from quasiwide.cli import main
+    from quasiwide.errors import DensityError
+    from quasiwide.generators import GenSpec, generate
+    from quasiwide.io import save_graph
+    from quasiwide.uqw import UqwConfig, uqw_split
+
+    path, refused = tmp_path / "g.el", 0
+    for spec in (
+        GenSpec("grid", {"w": 6, "h": 5}),
+        GenSpec("star", {"p": 9}),
+        GenSpec("random_degenerate", {"n": 24, "c": 2, "seed": 4}),
+        GenSpec("halfgraph", {"k": 6}),
+    ):
+        g = generate(spec)
+        save_graph(g, path)
+        for r in (1, 3):
+            argv = ["uqw", "--graph", str(path), "--A", "all", "--r", str(r),
+                    "--s-max", "2", "--deterministic", "--m"]
+            try:
+                full = uqw_split(g, range(g.n), r, UqwConfig(s_max=2))
+            except DensityError:
+                full = None
+            refusals = []
+            for m in (1, 3, 13):
+                code = main(argv + [str(m)])
+                doc = json.loads(capsys.readouterr().out)
+                if full is None:
+                    assert code == 2
+                    del doc["options"]["m"]
+                    refusals.append(doc)
+                    continue
+                assert code == 0
+                assert doc["result"] == {
+                    "S": sorted(full.S),
+                    "B": list(full.B[:m]),
+                    "rounds": json.loads(json.dumps([asdict(log) for log in full.rounds])),
+                }
+                assert doc["verified"] == {"independent": True}
+            assert all(doc == refusals[0] for doc in refusals)
+            refused += bool(refusals)
+    assert refused == 2
+    assert main(argv + ["0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target size must be positive, got 0\n"
+
+
 @pytest.fixture()
 def dense_repro(tmp_path):
     """A 40-vertex 2-degenerate graph, on which the sieve's radius-4 split
@@ -187,15 +239,17 @@ def test_stage_logs_go_to_stderr_only(dense_repro):
 
 
 def test_indiscernible_command(grid32):
-    proc = run(
-        "indiscernible", "--graph", grid32, "--seq", "all", "--delta", "2",
-        "--m", "4", check=True,
-    )
+    argv = ["indiscernible", "--graph", grid32, "--seq", "all", "--delta", "2"]
+    proc = run(*argv, check=True)
     doc = json.loads(proc.stdout)
     assert doc["command"] == "indiscernible"
-    out = doc["result"]["sequence"]
-    assert len(out) <= 4
+    assert set(doc["options"]) == {"graph", "seq", "delta"}
+    assert set(doc["result"]) == {"sequence", "length"}
     assert doc["verified"]["indiscernible"] is True
+    # the extraction takes no target length
+    proc = run(*argv, "--m", "5")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: unrecognized arguments: --m 5\n"
 
 
 def test_ladder_command(tmp_path):
@@ -287,6 +341,25 @@ def test_bad_edge_file_reports_line(tmp_path):
     proc = run("solve", "--graph", str(bad), "--problem", "drds", "--r", "1", "--k", "1")
     assert proc.returncode == 1
     assert "line 3" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "path", "--params", "n=4"],
+    ["kernelize", "--r", "1", "--k", "1", "--ell", "4"],
+    ["bench", "--family", "grid", "--sizes", "3", "--r", "1", "--ks", "1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    from quasiwide.cli import main
+
+    graph = tmp_path / "g.el"
+    graph.write_text("n=3\n0 1\n1 2\n")
+    out = tmp_path / "missing" / "out.txt"
+    extra = ["--graph", str(graph)] if argv[0] == "kernelize" else []
+    assert main(argv + extra + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_missing_required_flag_is_usage_error():
@@ -463,8 +536,7 @@ _SPLITTER_COMMANDS = {
 }
 _SEEDLESS_COMMANDS = {
     **{name: argv for name, argv in _SPLITTER_COMMANDS.items() if name != "bench"},
-    "indiscernible": ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "1",
-                      "--m", "2"],
+    "indiscernible": ["indiscernible", "--graph", "g.el", "--seq", "all", "--delta", "1"],
     "ladder": ["ladder", "--graph", "g.el", "--max-k", "2"],
 }
 

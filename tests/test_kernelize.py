@@ -113,9 +113,9 @@ def test_sieve_widens_past_eight_times_ell(monkeypatch):
     windows = []
     real = kernelize_module.uqw_split
 
-    def spy(g, a, r, m, cfg):
+    def spy(g, a, r, cfg):
         windows.append(len(a))
-        return real(g, a, r, m, cfg)
+        return real(g, a, r, cfg)
 
     monkeypatch.setattr(kernelize_module, "uqw_split", spy)
     g = generate(GenSpec("grid", {"w": 6, "h": 8}))
@@ -201,8 +201,8 @@ def _spy_splits(monkeypatch):
     splits = []
     real = kernelize_module.uqw_split
 
-    def spy(g, a, r, m, cfg):
-        res = real(g, a, r, m, cfg)
+    def spy(g, a, r, cfg):
+        res = real(g, a, r, cfg)
         splits.append(res)
         return res
 
@@ -231,8 +231,8 @@ def test_anchor_vectors_equal_per_member_vectors(monkeypatch):
 def test_sieve_rejects_a_dependent_spread_set(monkeypatch):
     real = kernelize_module.uqw_split
 
-    def adjacent_spread(g, a, r, m, cfg):
-        res = real(g, a, r, m, cfg)
+    def adjacent_spread(g, a, r, cfg):
+        res = real(g, a, r, cfg)
         b = next(
             (v, u)
             for v in a
@@ -253,15 +253,15 @@ def test_sieve_cuts_b_by_the_size_of_s(monkeypatch):
     # vector to S is the same, so the bucket is the whole cut
     g = build_graph(1005, [])
     spread = tuple(range(804, 4, -1))
-    targets = []
+    windows = []
 
-    def split_with_five_anchors(g, a, r, m, cfg):
-        targets.append(m)
-        return UqwResult(S=frozenset(range(5)), B=spread[:m], rounds=())
+    def split_with_five_anchors(g, a, r, cfg):
+        windows.append(len(a))
+        return UqwResult(S=frozenset(range(5)), B=spread, rounds=())
 
     monkeypatch.setattr(kernelize_module, "uqw_split", split_with_five_anchors)
     rem = find_irrelevant_dominatee(g, range(g.n), CoreConfig(r=1, k=1, ell=1000))
-    assert targets == [1000]
+    assert windows == [1000]
     assert rem.anchors == (0, 1, 2, 3, 4)
     assert rem.bucket == tuple(sorted(spread[:729]))
 

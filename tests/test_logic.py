@@ -118,12 +118,12 @@ def test_is_indiscernible_short_sequences_vacuous():
 
 def test_extract_path_edge_only():
     g = path_graph(4)
-    assert extract_indiscernible(g, [0, 1, 2, 3], EDGE_ONLY, 2) == [0, 3]
+    assert extract_indiscernible(g, [0, 1, 2, 3], EDGE_ONLY) == [0, 3]
 
 
 def test_extract_star_delta4():
     g = star(8)
-    out = extract_indiscernible(g, list(range(9)), delta_k(4), 2)
+    out = extract_indiscernible(g, list(range(9)), delta_k(4))
     assert out == list(range(1, 9))
     assert is_indiscernible(g, out, delta_k(4))
 
@@ -131,15 +131,13 @@ def test_extract_star_delta4():
 def test_extract_validates():
     g = path_graph(4)
     with pytest.raises(InputError):
-        extract_indiscernible(g, [0, 1], EDGE_ONLY, 0)
-    with pytest.raises(InputError):
-        extract_indiscernible(g, [0, 0, 1], EDGE_ONLY, 1)
+        extract_indiscernible(g, [0, 0, 1], EDGE_ONLY)
 
 
 def test_extract_fixed_point():
     g = star(8)
-    out = extract_indiscernible(g, list(range(9)), delta_k(2), 3)
-    again = extract_indiscernible(g, out, delta_k(2), 3)
+    out = extract_indiscernible(g, list(range(9)), delta_k(2))
+    again = extract_indiscernible(g, out, delta_k(2))
     assert again == out
 
 
@@ -162,7 +160,7 @@ def graph_and_sequence(draw):
 def test_extract_output_passes_oracle(gs, kk):
     g, seq = gs
     delta = delta_k(kk)
-    out = extract_indiscernible(g, seq, delta, 2)
+    out = extract_indiscernible(g, seq, delta)
     # order-preserving subsequence of the input
     it = iter(seq)
     assert all(any(x == y for y in it) for x in out)
@@ -197,7 +195,7 @@ def test_repeated_formula_changes_no_extraction(seed, at, data):
     where = data.draw(st.integers(min_value=at + 1, max_value=len(delta)))
     repeated = delta[:where] + (delta[at],) + delta[where:]
     seq = list(range(g.n))
-    assert extract_indiscernible(g, seq, repeated, 4) == extract_indiscernible(g, seq, delta, 4)
+    assert extract_indiscernible(g, seq, repeated) == extract_indiscernible(g, seq, delta)
 
 
 def test_wideness_dichotomy_on_forests():
@@ -206,7 +204,7 @@ def test_wideness_dichotomy_on_forests():
     checked = 0
     for seed in range(12):
         g = generate(GenSpec("random_degenerate", {"n": 100, "c": 1, "seed": seed}))
-        out = extract_indiscernible(g, list(range(g.n)), delta_k(2), 8)
+        out = extract_indiscernible(g, list(range(g.n)), delta_k(2))
         if len(out) < 8:
             continue
         checked += 1
