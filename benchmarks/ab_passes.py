@@ -11,6 +11,9 @@ that drift in the machine's speed falls on both sides alike. A pass is
 with ``--deterministic`` added. Prints each side's median pass time, its
 quartiles and the pairs it won, and whether every pass on both sides gave the
 same exit codes, stdout, stderr and kernel files; exits 1 when they differ.
+The last line says whether the change's gain is resolved: the change won at
+least nine tenths of the pairs, ties counting for neither, and its median is
+below the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -42,6 +45,20 @@ def worker(root: Path, workload: str, seed: int) -> None:
             elapsed, outcomes = run._run_pass(main, ops)
             digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
             print(json.dumps([elapsed, digest]), flush=True)
+
+
+def quartiles(ts: list[float]) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(ts, n=4, method="inclusive") if len(ts) > 1 else ts * 3
+    return q1, q3
+
+
+def resolved(parent: list[float], change: list[float]) -> bool:
+    """Whether pass times paired in order show the change faster (see the
+    module docstring)."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    gap = statistics.median(parent) - statistics.median(change)
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1
 
 
 def main() -> int:
@@ -86,11 +103,12 @@ def main() -> int:
     print(f"{'side':<8} {'median_s':>9} {'q1_s':>9} {'q3_s':>9} {'wins':>6}")
     for side, other in (("parent", "change"), ("change", "parent")):
         ts = times[side]
-        q1, _, q3 = statistics.quantiles(ts, n=4, method="inclusive") if len(ts) > 1 else ts * 3
+        q1, q3 = quartiles(ts)
         wins = sum(a < b for a, b in zip(ts, times[other]))
         print(f"{side:<8} {statistics.median(ts):>9.3f} {q1:>9.3f} {q3:>9.3f} "
               f"{wins:>3}/{args.pairs}")
     print(f"outputs byte-equal: {'yes' if len(digests) == 1 else 'no'}")
+    print(f"resolved: {'yes' if resolved(times['parent'], times['change']) else 'no'}")
     return 0 if len(digests) == 1 else 1
 
 

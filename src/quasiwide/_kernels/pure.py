@@ -12,9 +12,11 @@ The type-tree round follows the insertion scheme described in
 commute, so the masks are folded in stages: the fixed tail once per round
 into a ``base`` mask, the candidate ``z`` once per candidate, and the
 parent's label once per node. Only the remaining combination slots are
-folded per tuple, in ``itertools.combinations`` order with the prefix mask
-carried along; a prefix that is already empty accounts for all of its
-extensions at once.
+folded per tuple, in ``itertools.combinations`` order: the last slot in one
+loop over the path's literals, and each slot above it by a call that folds
+the labels after its choice and returns their sub-signature, shifted into
+place. A prefix that is already empty accounts for all of its extensions at
+once.
 
 Two round shapes skip the per-node descent. With one free slot (t = 0)
 only the root evaluates and every node below it chains, so the round
@@ -435,28 +437,26 @@ def _combination_signature(
     positions ``0..slots-1``; bit i belongs to the i-th combination.
     """
     sig = 0
-    index = 0
-
-    def fold(start: int, slot: int, prefix: int) -> None:
-        nonlocal sig, index
-        need = slots - slot
-        pos = positive[slot]
-        if need == 1:
-            for i in range(start, m):
-                b = bits[elems[i]]
-                if (prefix & b) if pos else (prefix & b != prefix):
-                    sig |= 1 << index
-                index += 1
-            return
-        for i in range(start, m - need + 1):
+    pos = positive[0]
+    if slots == 1:
+        for i in range(m):
             b = bits[elems[i]]
-            nxt = prefix & b if pos else prefix & ~b
-            if nxt:
-                fold(i + 1, slot + 1, nxt)
-            else:
-                index += comb(m - i - 1, need - 1)
-
-    fold(0, 0, mask)
+            if (mask & b) if pos else (mask & b != mask):
+                sig |= 1 << i
+        return sig
+    # the first position's choice, then the combinations of the elements
+    # after it, shifted into place; an empty prefix skips them all
+    index = 0
+    rest = positive[1:]
+    for i in range(m - slots + 1):
+        b = bits[elems[i]]
+        prefix = mask & b if pos else mask & ~b
+        if prefix:
+            sub = _combination_signature(
+                prefix, elems[i + 1 : m], m - i - 1, slots - 1, rest, bits
+            )
+            sig |= sub << index
+        index += comb(m - i - 1, slots - 1)
     return sig
 
 

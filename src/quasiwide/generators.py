@@ -32,8 +32,8 @@ Vertex id layout per family (frozen; tests depend on it):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .graph import Graph, build_graph
@@ -63,12 +63,11 @@ class SplitMix64:
         return (self.next_u64() * bound) >> 64
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """A graph family plus its parameters, e.g. ``GenSpec("grid", {"w": 4, "h": 4})``."""
 
     family: str
-    params: Mapping[str, int] = field(default_factory=dict)
+    params: Mapping[str, int] = MappingProxyType({})
 
 
 def _require(params: Mapping[str, int], family: str, *names: str) -> list[int]:

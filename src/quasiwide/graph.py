@@ -22,7 +22,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -30,7 +29,6 @@ from .errors import InputError
 INF = math.inf
 
 
-@dataclass(eq=False)
 class Graph:
     """Immutable undirected graph whose degeneracy is computed on first
     read.
@@ -42,11 +40,22 @@ class Graph:
     next round of that shape extends its sequence.
     """
 
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-    _c: int | None = field(default=None, repr=False, compare=False)
-    _bits: list[int] | None = field(default=None, repr=False, compare=False)
-    _rounds: dict | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        n: int,
+        adj: tuple[tuple[int, ...], ...],
+        _c: int | None = None,
+        _bits: list[int] | None = None,
+        _rounds: dict | None = None,
+    ) -> None:
+        self.n = n
+        self.adj = adj
+        self._c = _c
+        self._bits = _bits
+        self._rounds = _rounds
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @property
     def m(self) -> int:
@@ -327,7 +336,6 @@ def induced_connected(g: Graph, vertices: Iterable[int]) -> bool:
     return _layers(g.adj, [min(vs)], len(vs), set(range(g.n)) - vs)[0] == vs
 
 
-@dataclass(eq=False)
 class Contraction:
     """Result of contracting disjoint balls: the minor and both directions of
     the vertex correspondence.
@@ -338,9 +346,12 @@ class Contraction:
     for.
     """
 
-    graph: Graph
-    centers: tuple[int, ...]
-    singletons: tuple[int, ...]
+    def __init__(
+        self, graph: Graph, centers: tuple[int, ...], singletons: tuple[int, ...]
+    ) -> None:
+        self.graph = graph
+        self.centers = centers
+        self.singletons = singletons
 
     def is_ball(self, h: int) -> bool:
         return h < len(self.centers)

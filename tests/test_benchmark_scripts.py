@@ -44,15 +44,41 @@ def test_ab_passes_script_runs_a_pair():
     # one pair: one side won it, unless the two times tie
     assert {row.split()[-1] for row in rows[1:3]} <= {"0/1", "1/1"}
     assert rows[3] == "outputs byte-equal: yes"
+    assert rows[4] in ("resolved: yes", "resolved: no")
 
 
-def test_backend_compare_script_runs_every_case(native, capsys):
+def test_ab_passes_resolves_a_gain_by_wins_and_spread():
+    spec = importlib.util.spec_from_file_location("ab_passes", SCRIPTS / "ab_passes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parent = [1.0, 1.1, 1.2, 1.3, 1.0, 1.1, 1.2, 1.3, 1.0, 1.1]  # quartiles 1.025, 1.2
+    faster = [t - 0.3 for t in parent]
+    assert script.resolved(parent, faster)
+    assert script.resolved(parent, faster[:9] + parent[9:])
+    # 8 wins of 10 are too few, and a tie counts for neither side
+    assert not script.resolved(parent, faster[:8] + [t + 0.1 for t in parent[8:]])
+    assert not script.resolved(parent, faster[:8] + parent[8:])
+    # every pair won, but by less than the parent's spread
+    assert not script.resolved(parent, [t - 0.1 for t in parent])
+
+
+def test_backend_compare_script_runs_every_case(native, capsys, monkeypatch):
     # the native fixture puts the compiled round where the script imports it
     path = SCRIPTS / "backend_compare.py"
     spec = importlib.util.spec_from_file_location("backend_compare", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    # every timed pure round builds its tree, none resumes a stored one
+    fresh = []
+    real = script.pure.tree_round
+
+    def record(g, *args):
+        fresh.append(g._rounds is None)
+        return real(g, *args)
+
+    monkeypatch.setattr(script.pure, "tree_round", record)
     assert script.main(["--repeats", "1"]) == 0
+    assert fresh == [True] * 4
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[:2] for row in rows] == [
         ["tree_round", name] for name in ("phi_1^3", "psi_1^3", "phi_1^4", "psi_1^4")

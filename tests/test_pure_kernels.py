@@ -6,7 +6,9 @@ per-tuple insertion loop it replaced, with the witness scan
 ``logic._eval_reference`` as its evaluator, so branches are checked against
 an implementation that shares no bitset code with the backend.
 Tail-free rounds that resume the tree of the previous call on the same
-graph are checked against both the reference and a fresh graph.
+graph are checked against both the reference and a fresh graph. The fold of
+one node's combinations, ``pure._combination_signature``, is checked on its
+own against a per-combination loop, from one to four slots.
 ``pure.nr_masks`` is checked against ``graph.bfs_limited``.
 """
 
@@ -332,6 +334,41 @@ def test_tail_free_round_resumes_only_an_extension(monkeypatch):
             else:
                 assert tree is not stored and inserted == [(tree, seq)], (op, shape)
             assert got == pure.tree_round(Graph(base.n, base.adj), seq, *shape, ()), (op, shape)
+
+
+def reference_combination_signature(mask, elems, m, slots, positive, bits):
+    """Bit i: ``mask`` survives, literal by literal, the i-th combination of
+    ``elems[:m]``. Also returns whether some prefix emptied before the last
+    position."""
+    sig = 0
+    emptied = False
+    for index, combo in enumerate(combinations(elems[:m], slots)):
+        acc = mask
+        for p, e in enumerate(combo):
+            acc = acc & bits[e] if positive[p] else acc & ~bits[e]
+            emptied |= not acc and p < slots - 1
+        if acc:
+            sig |= 1 << index
+    return sig, emptied
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 4])
+def test_combination_signature_matches_per_combination_reference(slots):
+    # a 5-vertex universe empties prefixes often; elems run past m and
+    # positive past slots, as in a round, and the fold must ignore both
+    rng = random.Random(slots)
+    emptied = 0
+    for m in range(10):
+        for _ in range(60):
+            bits = [rng.getrandbits(5) for _ in range(12)]
+            elems = rng.sample(range(12), m + rng.randint(0, 2))
+            positive = [rng.random() < 0.5 for _ in range(slots + 2)]
+            mask = rng.getrandbits(5)
+            want, early = reference_combination_signature(mask, elems, m, slots, positive, bits)
+            got = pure._combination_signature(mask, elems, m, slots, positive, bits)
+            assert got == want, (mask, elems, m, slots, positive, bits)
+            emptied += early
+    assert slots == 1 or emptied > 0
 
 
 def _disconnected():
