@@ -9,7 +9,9 @@ workers take turns, the side that goes first swapping from pair to pair, so
 that drift in the machine's speed falls on both sides alike. A pass is
 ``perfbench/run.py``'s: every command of the manifest once, in-process, here
 with ``--deterministic`` added. Prints each side's median pass time, its
-quartiles and the pairs it won, and whether every pass on both sides gave the
+quartiles and the pairs it won, then the median and quartiles of the
+per-pair ratios (change / parent), which drift in the machine's speed moves
+less than either side's times, and whether every pass on both sides gave the
 same exit codes, stdout, stderr and kernel files; exits 1 when they differ.
 The last line says whether the change's gain is resolved: the change won at
 least nine tenths of the pairs, ties counting for neither, and its median is
@@ -107,6 +109,10 @@ def main() -> int:
         wins = sum(a < b for a, b in zip(ts, times[other]))
         print(f"{side:<8} {statistics.median(ts):>9.3f} {q1:>9.3f} {q3:>9.3f} "
               f"{wins:>3}/{args.pairs}")
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    q1, q3 = quartiles(ratios)
+    print(f"change/parent per pair: median {statistics.median(ratios):.3f} "
+          f"q1 {q1:.3f} q3 {q3:.3f}")
     print(f"outputs byte-equal: {'yes' if len(digests) == 1 else 'no'}")
     print(f"resolved: {'yes' if resolved(times['parent'], times['change']) else 'no'}")
     return 0 if len(digests) == 1 else 1

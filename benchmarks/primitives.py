@@ -31,7 +31,9 @@ graph per call, where every round builds its tree anew. Both graphs share
 the grid's neighbour bitsets, and each repeat starts from a new shared
 graph. The grid's batch removals start at the window's smallest vertex, so
 no grid round shares a prefix with the last: that row times the check for
-one. The same replay runs on
+one. At delta_k = 2 every grid round has two free slots (t = 1), and one
+more fresh-graph row per round shape (edge, phi_1^2, phi_2^2, psi_1^2,
+psi_2^2) shows which shape a change moved. The same replay runs on
 the tail-free arity-4 rounds (four free slots, t = 3) of a batch-mode
 sieve on a 65-vertex ``random_degenerate`` graph at r = 1, k = 2,
 ell = 64, delta_k = 4, the ``degenerate-r1`` workload's settings, whose
@@ -120,6 +122,16 @@ def sieve_rounds(g, cfg):
     return rounds
 
 
+def fresh_replay(g, rounds):
+    """Replay the recorded rounds, each on a fresh graph that shares the
+    neighbour bitsets of ``g``."""
+    bits = adjacency_bitsets(g)
+    return lambda: [
+        pure.tree_round(Graph(g.n, g.adj, _bits=bits), seq, kind, i, arity, ())
+        for seq, kind, i, arity in rounds
+    ]
+
+
 def round_benches(g, rounds, label):
     """The recorded rounds on one shared graph and on a fresh graph per
     call."""
@@ -129,16 +141,24 @@ def round_benches(g, rounds, label):
         h = Graph(g.n, g.adj, _bits=bits)
         return [pure.tree_round(h, seq, kind, i, arity, ()) for seq, kind, i, arity in rounds]
 
-    def fresh():
-        return [
-            pure.tree_round(Graph(g.n, g.adj, _bits=bits), seq, kind, i, arity, ())
-            for seq, kind, i, arity in rounds
-        ]
-
     return [
         (f"tree_round {label}, shared", len(rounds), shared),
-        (f"tree_round {label}, fresh", len(rounds), fresh),
+        (f"tree_round {label}, fresh", len(rounds), fresh_replay(g, rounds)),
     ]
+
+
+def shape_benches(g, rounds):
+    """The recorded rounds of each shape on a fresh graph per call, in the
+    order the shapes first appear."""
+    by_shape = {}
+    for rd in rounds:
+        by_shape.setdefault(rd[1:], []).append(rd)
+    rows = []
+    for (kind, i, arity), shape_rounds in by_shape.items():
+        name = "edge" if kind == 0 else f"{'phi' if kind == 1 else 'psi'}_{i}^{arity}"
+        rows.append((f"tree_round {name}, fresh", len(shape_rounds),
+                     fresh_replay(g, shape_rounds)))
+    return rows
 
 
 def median_us(fn, calls: int, repeats: int) -> float:
@@ -170,10 +190,14 @@ def main(argv=None) -> int:
     g = generate(GRAPHS[0][1])
     grid_rounds = sieve_rounds(g, CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2)))
     d = generate(GenSpec("random_degenerate", {"n": 65, "c": 2, "seed": 0}))
-    arity_4 = [rd for rd in sieve_rounds(d, CoreConfig(r=1, k=2, ell=64)) if rd[3] == 4]
-    for label, h, rounds, shape in (("grid 40x40 sieve", g, grid_rounds, "tail-free"),
-                                    ("degenerate n=65 sieve", d, arity_4, "t=3")):
-        for name, calls, fn in round_benches(h, rounds, shape):
+    arity_4 = sieve_rounds(d, CoreConfig(r=1, k=2, ell=64, uqw=UqwConfig(delta_k=4)))
+    arity_4 = [rd for rd in arity_4 if rd[3] == 4]
+    for label, rows in (
+        ("grid 40x40 sieve", round_benches(g, grid_rounds, "tail-free")
+         + shape_benches(g, grid_rounds)),
+        ("degenerate n=65 sieve", round_benches(d, arity_4, "t=3")),
+    ):
+        for name, calls, fn in rows:
             us = median_us(fn, calls, args.repeats)
             print(f"{label:<24} {name:<32} {calls:>6} {us:>10.2f}")
     return 0

@@ -25,31 +25,36 @@ that first reached the greatest length. With two free slots (t = 1) a node
 labelled l gives candidate z one bit, [A_l & L(z) != 0], where
 A_l = base & L0(l) does not depend on z and L is N or its complement by the
 literal's sign. Each node gets a default bit that does not depend on z
-either, and the tree is kept as runs, maximal chains of default children.
-A candidate finds from its neighborhood the nodes where its bit deviates
-from the default and jumps to the first one in each run:
+either, and each candidate a deviation mask, the labels where its bit
+differs from the default (-1 when it differs at every node):
 
-- edge atom: default 0; z deviates at its neighbors;
+- edge atom: default 0; the mask is N(z);
 - slot 0 positive, z negative (phi_1): default [A_l != 0]; z deviates iff
   A_l lies inside N(z), so only labels whose lowest vertex of A_l is a
   neighbor of z are tested;
+- both slots positive (phi_i, i >= 2): default 0; z deviates iff A_l meets
+  N(z), so the mask is the union of N(w) over w in base & N(z);
 - slot 0 negative (psi): default 1; with R = base & N(z) for a positive z
   and base - N(z) for a negative one, the bit is [R - N(l) != 0], so z
   deviates iff R lies inside N(l): only neighbors of min R are tested, and
   an empty R deviates at every node.
 
-A deviation takes the other child, which heads its own run. Rounds with
-both slots positive (phi_i, i >= 2) stay on the descent: their trees are
-shallow, and enumerating two-hop neighbors costs more than it saves. Both
-shortcuts give the tree, depths and tie rule of the descent they replace.
+A deviation takes the other child. The tree is resolved lazily: only its
+first run, the chain of default children from the root's child down, is
+kept as candidates arrive, and a candidate whose mask misses the run's
+labels extends it. Any other is filed with its mask under its first
+deviation. ``branch`` builds a filed group, by the same rule, only when
+its size leaves room for a node at least as deep as the deepest found so
+far. Both shortcuts give the tree, depths and tie rule of the descent they
+replace.
 
 A tail-free round with two or more free slots stores its tree on ``g``
 (``Graph._rounds``), keyed by (kind, i_split, arity), because the window
 that the core sieve widens to extends the window it split last. The tree
-maps each label to its node in insertion order, which is the sequence it
+keeps its labels in insertion order (``placed``), which is the sequence it
 was built from. When the next call of that shape on ``g`` extends that
-sequence, only the extension is inserted; any other sequence starts a
-fresh tree. Insertion is causal, the tree after seq[:j] depends only on
+sequence, only the extension is inserted, and a one-bit tree resolves its
+groups again; any other sequence starts a fresh tree. Insertion is causal, the tree after seq[:j] depends only on
 seq[:j], so the result equals that of a fresh round. A call that raises
 drops the stored tree of its shape. Rounds with a tail build a fresh tree
 each call.
@@ -151,7 +156,7 @@ def tree_round(
         if t == 0:
             return _partition_round(seq, [(bits[z] >> tail[0]) & 1 for z in seq])
         # default bit 0: z deviates at its neighbors
-        return _resume(g, (kind, i_split, arity), seq, lambda: _Runs(g.adj.__getitem__))
+        return _resume(g, (kind, i_split, arity), seq, lambda: _Runs(bits.__getitem__))
     # positive[p]: argument position p is a positive literal
     if kind == PHI:
         positive = [p < i_split for p in range(arity)]
@@ -166,12 +171,13 @@ def tree_round(
         return _partition_round(seq, [base & ~bits[z] != 0 for z in seq])
 
     def new_tree() -> "_Runs | _Descent":
-        # t = 1 with slot 0 negative, or with z negative: the run rules
-        if t == 1 and not positive[0]:
-            return _Runs(_psi_deviants(g.adj, bits, base, positive[1]))
-        if t == 1 and not positive[1]:
-            return _Runs(_phi_deviants(g.adj, bits, base))
-        return _Descent(bits, positive, base, t)
+        if t > 1:
+            return _Descent(bits, positive, base, t)
+        if not positive[0]:
+            return _Runs(_psi_deviation(g.adj, bits, base, positive[1], not tail))
+        if not positive[1]:
+            return _Runs(_phi_1_deviation(g.adj, bits, base, not tail))
+        return _Runs(_phi_i_deviation(g.adj, bits, base, not tail))
 
     if tail:
         tree = new_tree()
@@ -194,7 +200,17 @@ def _resume(
     if trees is None:
         trees = g._rounds = {}
     tree = trees.pop(key, None)
-    if tree is None or list(tree.placed) != list(seq[: len(tree.placed)]):
+    if tree is not None and tree.placed:
+        # most stored trees differ at their first label: test it before
+        # comparing the whole stored sequence
+        stored = tree.placed
+        if (
+            len(seq) < len(stored)
+            or next(iter(stored)) != seq[0]
+            or list(stored) != list(seq[: len(stored)])
+        ):
+            tree = None
+    if tree is None:
         tree = new_tree()
     tree.extend(seq[len(tree.placed) :])
     trees[key] = tree
@@ -296,132 +312,216 @@ def _partition_round(seq: Sequence[int], sigs: Sequence[int]) -> list[int]:
 
 
 class _Runs:
-    """The tree of a round with one signature bit per node (t = 1). Below
-    the root's single child each node has a default bit that does not depend
-    on z, and ``deviants(z)`` names the labels already in the tree where z's
-    bit differs from it (it may name others too; they are skipped), or is
-    None when z deviates at every node.
+    """The tree of a round with one signature bit per node (t = 1). Each
+    node has a default bit that does not depend on z, and ``deviation(z)``
+    is the mask of the labels where z's bit differs from it, -1 when it
+    differs at every node. The mask must be exact on the labels inserted
+    before z; it is never tested against later ones.
 
-    The tree is kept as runs, maximal chains of default children:
-    ``runs[i]`` holds the labels in order, ``start[i]`` the depth of its
-    head and ``hang[i]`` the (run, index) node whose other child the head is
-    (None under the root). A candidate walks a run until its first
-    deviation, so it crosses each run with one lookup per deviant label
-    found once per candidate instead of one step per node.
+    Only the first run, the chain of default children from the root's
+    child down, is built as candidates arrive: ``run`` holds its labels in
+    order, ``mask`` their bits and ``index`` each label's position. A
+    candidate whose mask misses ``mask`` extends the run; any other is
+    filed in ``filed[j]``, with its mask, under its first deviation j, the
+    node whose other child it enters. ``branch`` builds only the subtrees
+    that can hold the deepest node.
 
-    ``placed`` maps each label inserted so far to its (run, index) node, in
-    insertion order, and ``best`` is the deepest node, the earliest on ties.
+    ``placed`` maps each label inserted so far to its insertion index, in
+    insertion order.
     """
 
-    __slots__ = ("deviants", "runs", "start", "hang", "placed", "off_child", "best")
+    __slots__ = ("deviation", "placed", "run", "index", "mask", "filed")
 
-    def __init__(self, deviants: Callable[[int], Iterable[int] | None]) -> None:
-        self.deviants = deviants
-        self.runs: list[list[int]] = []
-        self.start: list[int] = []
-        self.hang: list[tuple[int, int] | None] = []
-        self.placed: dict[int, tuple[int, int]] = {}
-        self.off_child: dict[int, int] = {}  # label -> run hanging off its other child
-        self.best: tuple[int, int] | None = None
+    def __init__(self, deviation: Callable[[int], int]) -> None:
+        self.deviation = deviation
+        self.placed: dict[int, int] = {}
+        self.run: list[int] = []
+        self.index: dict[int, int] = {}
+        self.mask = 0
+        self.filed: dict[int, list[tuple[int, int]]] = {}
 
-    def extend(self, seq: Iterable[int]) -> None:
+    def extend(self, seq: Sequence[int]) -> None:
         """Insert ``seq`` after the labels already in the tree; a label
         already in it raises ValueError and leaves the tree unusable."""
-        runs, start, hang = self.runs, self.start, self.hang
-        placed, off_child, deviants = self.placed, self.off_child, self.deviants
-        best = self.best
-        best_depth = start[best[0]] + best[1] if best else 0
-        for z in seq:
-            if z in placed:
-                raise ValueError(f"vertex {z} repeats in the sequence")
-            # first[run]: smallest index in that run where z deviates
-            devs = deviants(z)
-            if devs is None:
-                first = dict.fromkeys(range(len(runs)), 0)
-            else:
-                first = {}
-                for u in devs:
-                    at = placed.get(u)
-                    if at is not None and at[1] < first.get(at[0], at[1] + 1):
-                        first[at[0]] = at[1]
-            run: int | None = 0 if runs else None
-            parent: tuple[int, int] | None = None
-            while run is not None:
-                j = first.get(run)
-                if j is None:
-                    break
-                parent = (run, j)
-                run = off_child.get(runs[run][j])
-            if run is not None:
-                # no deviation in this run: z extends it
-                j = len(runs[run])
-                runs[run].append(z)
-                depth = start[run] + j
-            else:
-                # a new run, under the root or as the other child of parent
-                run, j = len(runs), 0
-                depth = start[parent[0]] + parent[1] + 1 if parent else 1
-                runs.append([z])
-                start.append(depth)
-                hang.append(parent)
-                if parent:
-                    off_child[runs[parent[0]][parent[1]]] = run
-            at = placed[z] = (run, j)
-            if depth > best_depth:
-                best, best_depth = at, depth
-        self.best = best
+        placed = self.placed
+        start = len(placed)
+        placed.update(zip(seq, range(start, start + len(seq))))
+        if len(placed) != start + len(seq):
+            # the labels stored before keep their places at the front
+            seen = set(list(placed)[:start])
+            z = next(z for z in seq if z in seen or seen.add(z))
+            raise ValueError(f"vertex {z} repeats in the sequence")
+        pairs = list(zip(seq, map(self.deviation, seq)))
+        self.mask = _file_run(pairs, self.run, self.index, self.filed, self.mask)
 
     def branch(self) -> list[int]:
-        """The labels from the root's child to the deepest node."""
-        runs, hang = self.runs, self.hang
+        """The labels from the root's child to the deepest node, the
+        earliest inserted on ties.
+
+        The first run's deepest node is its last label. A group of c
+        candidates filed under a run's node at depth d holds no node deeper
+        than d + c, so a group whose bound is below the deepest node found
+        so far is never built; one whose bound ties it may hold an earlier
+        node of that depth, so it is built."""
+        run, placed = self.run, self.placed
+        if not run:
+            return []
+        # a subtree is (its first run, (parent subtree, index) or None)
+        top: tuple = (run, None)
+        best, best_depth, best_order = (top, len(run) - 1), len(run), placed[run[-1]]
+        # (subtree, depth of its run's head, its filed groups)
+        stack = [(top, 1, self.filed)]
+        while stack:
+            tree, head, filed = stack.pop()
+            for j, group in filed.items():
+                start = head + j + 1
+                if start + len(group) - 1 < best_depth:
+                    continue
+                sub_run: list[int] = []
+                sub_filed: dict[int, list[tuple[int, int]]] = {}
+                _file_run(group, sub_run, {}, sub_filed, 0)
+                sub = (sub_run, (tree, j))
+                depth, order = start + len(sub_run) - 1, placed[sub_run[-1]]
+                if depth > best_depth or depth == best_depth and order < best_order:
+                    best, best_depth, best_order = (sub, len(sub_run) - 1), depth, order
+                if sub_filed:
+                    stack.append((sub, start, sub_filed))
         branch: list[int] = []
-        at = self.best
-        while at is not None:
-            run, j = at
-            branch.extend(reversed(runs[run][: j + 1]))
-            at = hang[run]
+        (run, hang), j = best
+        while True:
+            branch.extend(reversed(run[: j + 1]))
+            if hang is None:
+                break
+            (run, hang), j = hang
         branch.reverse()
         return branch
 
 
-def _phi_deviants(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int
-) -> Callable[[int], list[int]]:
+# a hit with more deviating labels than this finds the first one by walking
+# the run, not by visiting its bits
+_DENSE_HIT = 8
+
+
+def _file_run(
+    pairs: Iterable[tuple[int, int]],
+    run: list[int],
+    index: dict[int, int],
+    filed: dict[int, list[tuple[int, int]]],
+    mask: int,
+) -> int:
+    """Place each (z, deviation mask) in order: on the end of ``run``, the
+    labels of a first run whose bits are ``mask``, or in ``filed`` under
+    its first deviation. Returns the run's new mask."""
+    size = len(run)
+    for pair in pairs:
+        z, dz = pair
+        hit = dz & mask
+        if not hit:
+            index[z] = size
+            size += 1
+            run.append(z)
+            mask |= 1 << z
+            continue
+        if not hit & (hit - 1):
+            j = index[hit.bit_length() - 1]
+        elif hit.bit_count() > _DENSE_HIT:
+            j = 0
+            while not hit >> run[j] & 1:
+                j += 1
+        else:
+            j = size
+            while hit:
+                low = hit & -hit
+                i = index[low.bit_length() - 1]
+                if i < j:
+                    j = i
+                hit ^= low
+        group = filed.get(j)
+        if group is None:
+            filed[j] = [pair]
+        else:
+            group.append(pair)
+    return mask
+
+
+def _phi_1_deviation(
+    adj: Sequence[Sequence[int]], bits: list[int], base: int, tail_free: bool
+) -> Callable[[int], int]:
     """Slot 0 positive, z negative: a label l with A = base & N(l) has
     default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
     Labels with A non-empty are indexed by the lowest vertex of A, which is
-    a neighbor of every z that deviates there. Each call of ``deviants``
-    indexes z after finding its deviations."""
-    by_low: dict[int, list[tuple[int, int]]] = {}
+    a neighbor of every z that deviates there. Each call indexes z after
+    building its mask, so the mask covers the labels inserted before z."""
+    by_low: list[tuple[tuple[int, int], ...]] = [()] * len(adj)
 
-    def deviants(z: int) -> list[int]:
+    def deviation(z: int) -> int:
         zb = bits[z]
-        out = [u for y in adj[z] for u, a in by_low.get(y, ()) if a & zb == a]
-        a = base & zb
-        if a:
-            by_low.setdefault((a & -a).bit_length() - 1, []).append((z, a))
-        return out
+        dz = 0
+        for y in adj[z]:
+            for ubit, a in by_low[y]:
+                if a & zb == a:
+                    dz |= ubit
+        if tail_free:
+            if adj[z]:
+                by_low[adj[z][0]] += ((1 << z, zb),)
+        else:
+            a = base & zb
+            if a:
+                by_low[(a & -a).bit_length() - 1] += ((1 << z, a),)
+        return dz
 
-    return deviants
+    return deviation
 
 
-def _psi_deviants(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool
-) -> Callable[[int], list[int] | None]:
+def _phi_i_deviation(
+    adj: Sequence[Sequence[int]], bits: list[int], base: int, tail_free: bool
+) -> Callable[[int], int]:
+    """Both slots positive (phi_i, i >= 2): a node labelled l gives z the
+    bit [base & N(l) & N(z) != 0]. Every default bit is 0, and z deviates
+    at the neighbors of each vertex of base & N(z)."""
+
+    def deviation(z: int) -> int:
+        dz = 0
+        if tail_free:
+            for w in adj[z]:
+                dz |= bits[w]
+            return dz
+        ws = base & bits[z]
+        while ws:
+            low = ws & -ws
+            dz |= bits[low.bit_length() - 1]
+            ws ^= low
+        return dz
+
+    return deviation
+
+
+def _psi_deviation(
+    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool, tail_free: bool
+) -> Callable[[int], int]:
     """Slot 0 negative: with R = base & N(z) for a positive z and base - N(z)
     for a negative one, a node labelled l gives z the bit [R - N(l) != 0].
     Every node's default bit is 1, so z deviates exactly where R lies inside
-    N(l): at neighbors of min R, or at every node when R is empty (None)."""
+    N(l): at neighbors of min R, or at every node when R is empty (-1)."""
 
-    def deviants(z: int) -> list[int] | None:
+    def deviation(z: int) -> int:
         zb = bits[z]
-        rest = base & zb if z_positive else base & ~zb
-        if not rest:
-            return None
-        low = (rest & -rest).bit_length() - 1
-        return [u for u in adj[low] if rest & bits[u] == rest]
+        if z_positive and tail_free:
+            if not adj[z]:
+                return -1
+            rest, low = zb, adj[z][0]
+        else:
+            rest = base & zb if z_positive else base & ~zb
+            if not rest:
+                return -1
+            low = (rest & -rest).bit_length() - 1
+        dz = 0
+        for u in adj[low]:
+            if rest & bits[u] == rest:
+                dz |= 1 << u
+        return dz
 
-    return deviants
+    return deviation
 
 
 def _combination_signature(

@@ -19,14 +19,15 @@ against plain adjacency sets on purpose, independent of the bitset
 evaluation backends). :func:`extract_indiscernible` computes an indiscernible
 subsequence via type trees: for each formula of arity k it runs k rounds,
 round m fixing the last m elements as parameters, inserting the rest into a
-fresh tree where siblings realise distinct evaluation signatures over their
-root path, and keeping the longest branch plus the fixed tail.
+tree where siblings realise distinct evaluation signatures over their root
+path, and keeping the longest branch plus the fixed tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -70,10 +71,12 @@ class FormulaId:
 EDGE_FORMULA = FormulaId(FormulaKind.EDGE, 0, 2)
 
 
+@lru_cache(maxsize=16)
 def delta_k(k: int) -> tuple[FormulaId, ...]:
     """The standard family: edge atom, then phi_1..phi_k, then psi_1..psi_k.
 
-    ``k = 0`` gives the edge atom alone.
+    ``k = 0`` gives the edge atom alone. The tuple and its formulas are
+    immutable, so each splitter call shares the cached family of its arity.
     """
     if k < 0:
         raise InputError(f"arity parameter must be non-negative, got {k}")
@@ -143,8 +146,11 @@ def extract_indiscernible(g: Graph, seq: Sequence[int], delta: Sequence[FormulaI
     Formulas are processed in ``delta`` order (a subsequence stays
     indiscernible for already-processed formulas). A formula of arity k gets
     k rounds; round m fixes the current last m elements, inserts the prefix
-    into a fresh tree, and the working sequence becomes the longest branch
-    followed by that tail. Sequences no longer than a formula's arity are
+    into a type tree, and the working sequence becomes the longest branch
+    followed by that tail. A round with a tail builds a fresh tree; a
+    tail-free round may resume the tree that the last round of its formula
+    on ``g`` left, when its prefix extends that round's sequence, with the
+    same result. Sequences no longer than a formula's arity are
     left alone by it (at most one tuple exists).
 
     An already-indiscernible input comes back unchanged.

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .check import uqw_verify  # re-exported: the split's recheck
 from .errors import ConfigError, DensityError, InputError
-from .graph import Graph, bfs_limited, check_vertices, contract_balls
+from .graph import Graph, adjacency_bitsets, bfs_limited, check_vertices, contract_balls
 from .logic import delta_k, extract_indiscernible
 
 _log = logging.getLogger(__name__)
@@ -94,11 +94,23 @@ def _prune_spread(g: Graph, seq: Iterable[int], dist: int, forbidden: frozenset[
     length at most ``dist`` has a vertex within ``near`` of one end and
     ``far`` of the other (its midpoint when ``dist`` is even), and a vertex
     in both balls gives such a path. The splitter only passes even ``dist``,
-    so one ball per element serves both roles.
+    so one ball per element serves both roles. At ``dist`` 2 both balls are
+    closed neighbourhoods, so they are tested as adjacency bitsets without a
+    walk; ``seq`` must then avoid ``forbidden``, as the splitter's does.
     """
+    kept: list[int] = []
+    if dist == 2:
+        bits = adjacency_bitsets(g)
+        allowed = ~sum(1 << v for v in forbidden)
+        covered_mask = 0
+        for v in seq:
+            ball_mask = (bits[v] | 1 << v) & allowed
+            if not ball_mask & covered_mask:
+                kept.append(v)
+                covered_mask |= ball_mask
+        return kept
     near = dist // 2
     far = dist - near
-    kept: list[int] = []
     covered: set[int] = set()
     for v in seq:
         ball = bfs_limited(g, [v], far, forbidden=forbidden)

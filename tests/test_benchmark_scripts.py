@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -21,14 +23,20 @@ def test_primitives_script_runs_every_case():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 22
-    assert "reduce_dominators |Y|=" in rows[-6]
-    assert "build_kernel |V(H)|=" in rows[-5]
-    for shape, (shared, fresh) in (("tail-free", rows[-4:-2]), ("t=3", rows[-2:])):
+    assert len(rows) == 27
+    assert "reduce_dominators |Y|=" in rows[-11]
+    assert "build_kernel |V(H)|=" in rows[-10]
+    for shape, (shared, fresh) in (("tail-free", rows[-9:-7]), ("t=3", rows[-2:])):
         assert f"tree_round {shape}, shared" in shared
         assert f"tree_round {shape}, fresh" in fresh
         # both replay the same recorded rounds
         assert shared.split()[-2] == fresh.split()[-2] != "0"
+    # one fresh row per shape of the grid sieve's tail-free rounds, which
+    # together replay all of them
+    shapes = rows[-7:-2]
+    for row, name in zip(shapes, ("edge", "phi_1^2", "phi_2^2", "psi_1^2", "psi_2^2")):
+        assert row.startswith("grid 40x40 sieve") and f"tree_round {name}, fresh" in row
+    assert sum(int(row.split()[-2]) for row in shapes) == int(rows[-9].split()[-2])
 
 
 def test_ab_passes_script_runs_a_pair():
@@ -43,8 +51,14 @@ def test_ab_passes_script_runs_a_pair():
     assert [row.split()[0] for row in rows[1:3]] == ["parent", "change"]
     # one pair: one side won it, unless the two times tie
     assert {row.split()[-1] for row in rows[1:3]} <= {"0/1", "1/1"}
-    assert rows[3] == "outputs byte-equal: yes"
-    assert rows[4] in ("resolved: yes", "resolved: no")
+    # one pair: its ratio is the median and both quartiles
+    words = rows[3].split()
+    assert words[:4] == ["change/parent", "per", "pair:", "median"]
+    assert words[5::2] == ["q1", "q3"] and len(set(words[4::2])) == 1
+    parent, change = (float(row.split()[1]) for row in rows[1:3])
+    assert float(words[4]) == pytest.approx(change / parent, abs=0.01)
+    assert rows[4] == "outputs byte-equal: yes"
+    assert rows[5] in ("resolved: yes", "resolved: no")
 
 
 def test_ab_passes_resolves_a_gain_by_wins_and_spread():

@@ -6,7 +6,10 @@ per-tuple insertion loop it replaced, with the witness scan
 ``logic._eval_reference`` as its evaluator, so branches are checked against
 an implementation that shares no bitset code with the backend.
 Tail-free rounds that resume the tree of the previous call on the same
-graph are checked against both the reference and a fresh graph. The fold of
+graph are checked against both the reference and a fresh graph. The lazy
+one-bit rounds (two free slots) are checked on random and hub graphs, and on
+crafted sequences where a filed group ties, falls one short of or beats the
+first run, or a resumed extension makes a skipped group the deepest. The fold of
 one node's combinations, ``pure._combination_signature``, is checked on its
 own against a per-combination loop, from one to four slots.
 ``pure.nr_masks`` is checked against ``graph.bfs_limited``.
@@ -169,7 +172,7 @@ def test_edge_round_empty_tail_on_long_window():
 
 def test_edge_round_rejects_repeated_vertex():
     g, _ = _sieve_window_cases()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 3 repeats"):
         pure.tree_round(g, [3, 50, 3], 0, 0, 2, ())
 
 
@@ -222,13 +225,112 @@ def test_one_bit_round_dead_labels_and_empty_rest(kind, i_split, arity):
             assert got == want, (kind, i_split, arity, tail, seq)
 
 
-@pytest.mark.parametrize("kind,i_split", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("kind,i_split", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_one_bit_round_rejects_repeated_vertex(kind, i_split):
     g, _ = _sieve_window_cases()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 3 repeats"):
         pure.tree_round(g, [3, 50, 7, 3], kind, i_split, 2, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 3 repeats"):
         pure.tree_round(g, [3, 50, 3], kind, i_split, 3, (9,))
+    # a repeat of a label that a stored tree already holds
+    pure.tree_round(g, [3, 50], kind, i_split, 2, ())
+    with pytest.raises(ValueError, match="vertex 50 repeats"):
+        pure.tree_round(g, [3, 50, 7, 50], kind, i_split, 2, ())
+
+
+def one_bit_shapes():
+    """(kind, i_split, arity, tail length) of every round with two free
+    slots (t = 1) up to arity 4: the edge atom, phi_1, phi_i with i >= 2
+    and psi, tail-free and with a tail."""
+    return [(kind, i, arity, arity - 2) for kind, i, arity in formulas(4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(one_bit_shapes()),
+    n=st.integers(2, 22),
+    density=st.sampled_from([0.1, 0.25, 0.5, 0.8, 0.95]),
+    hub=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+    cut=st.integers(0, 22),
+)
+def test_lazy_one_bit_rounds_match_reference(shape, n, density, hub, rnd, cut):
+    # dense graphs, and a hub adjacent to nearly every vertex, give
+    # deviation masks that hit many labels of a long first run, and
+    # candidates that deviate at every node
+    kind, i_split, arity, tail_len = shape
+    if tail_len >= n:
+        return
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rnd.random() < (0.9 if hub and u == 0 else density)
+    ]
+    g = build_graph(n, edges)
+    verts = list(range(n))
+    rnd.shuffle(verts)
+    tail, seq = tuple(verts[:tail_len]), verts[tail_len:]
+    want = reference_tree_round(g, seq, kind, i_split, arity, tail)
+    assert pure.tree_round(g, seq, kind, i_split, arity, tail) == want
+    if not tail:
+        # a stored prefix, extended: the groups filed so far resolve again
+        h = Graph(g.n, g.adj)
+        pure.tree_round(h, seq[:cut], kind, i_split, arity, ())
+        assert pure.tree_round(h, seq, kind, i_split, arity, ()) == want
+
+
+def _run_and_group():
+    """For edge rounds: 0 heads the first run, which every later vertex
+    that avoids 0 extends, and the neighbours 1, 2, 5 and 7 of 0 are filed
+    under it. 1, 2 and 7 chain in their group; 5 is adjacent to 1 and
+    branches off it."""
+    return build_graph(8, [(0, 1), (0, 2), (0, 5), (0, 7), (1, 5)])
+
+
+@pytest.mark.parametrize(
+    "seq,want",
+    [
+        # the group under 0, (1, 2), ties the run (0, 3, 4) at depth 3;
+        # its last node, 2, was inserted before the run's last, 4, and wins
+        ([0, 1, 2, 3, 4], [0, 1, 2]),
+        # the same tie, with the run's last inserted first
+        ([0, 3, 4, 1, 2], [0, 3, 4]),
+        # the group (1, 2, 5) may reach depth 4, the run's depth, but 5
+        # branches off 1, so the group's deepest node is at depth 3
+        ([0, 1, 2, 5, 3, 4, 6], [0, 3, 4, 6]),
+        # the group (1, 2) reaches depth 3, one short of the run's 4
+        ([0, 1, 2, 3, 4, 6], [0, 3, 4, 6]),
+        # the group (1, 2, 7) is deeper than the run (0, 3)
+        ([0, 1, 3, 2, 7], [0, 1, 2, 7]),
+    ],
+)
+def test_lazy_tree_resolves_groups_against_the_first_run(seq, want):
+    g = _run_and_group()
+    assert reference_tree_round(g, seq, 0, 0, 2, ()) == want
+    assert pure.tree_round(g, seq, 0, 0, 2, ()) == want
+
+
+def test_lazy_tree_files_a_dense_hit_under_its_first_deviation():
+    # the leaves 1..10 of the star on 0 form the first run; 0 deviates at
+    # all ten, and 11..20, each adjacent to 1 only, chain after 0 under 1
+    g = build_graph(21, [(0, leaf) for leaf in range(1, 11)] + [(1, v) for v in range(11, 21)])
+    seq = [*range(1, 11), 0, *range(11, 21)]
+    want = [1, 0, *range(11, 21)]
+    assert reference_tree_round(g, seq, 0, 0, 2, ()) == want
+    assert pure.tree_round(g, seq, 0, 0, 2, ()) == want
+
+
+def test_resumed_extension_makes_a_pruned_group_deepest():
+    g = _run_and_group()
+    # the group (1) under 0 cannot beat the run (0, 3, 4) and is not built
+    assert pure.tree_round(g, [0, 1, 3, 4], 0, 0, 2, ()) == [0, 3, 4]
+    stored = g._rounds[(0, 0, 2)]
+    # the extension files 2 and 7 in that group, which now reaches depth 4
+    seq = [0, 1, 3, 4, 2, 7]
+    assert pure.tree_round(g, seq, 0, 0, 2, ()) == [0, 1, 2, 7]
+    assert g._rounds[(0, 0, 2)] is stored
+    assert reference_tree_round(g, seq, 0, 0, 2, ()) == [0, 1, 2, 7]
 
 
 @pytest.mark.parametrize(
