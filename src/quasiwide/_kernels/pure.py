@@ -32,8 +32,10 @@ differs from the default (-1 when it differs at every node):
 - slot 0 positive, z negative (phi_1): default [A_l != 0]; z deviates iff
   A_l lies inside N(z), so only labels whose lowest vertex of A_l is a
   neighbor of z are tested;
-- both slots positive (phi_i, i >= 2): default 0; z deviates iff A_l meets
-  N(z), so the mask is the union of N(w) over w in base & N(z);
+- both slots positive (phi_i, i >= 2), tail-free: default 0; z deviates
+  iff N(l) meets N(z), so the mask is the union of N(w) over w in N(z).
+  With a tail, base & N(z) is often most of N(z) and the union costs more
+  than the descent, so those rounds stay on it;
 - slot 0 negative (psi): default 1; with R = base & N(z) for a positive z
   and base - N(z) for a negative one, the bit is [R - N(l) != 0], so z
   deviates iff R lies inside N(l): only neighbors of min R are tested, and
@@ -171,13 +173,13 @@ def tree_round(
         return _partition_round(seq, [base & ~bits[z] != 0 for z in seq])
 
     def new_tree() -> "_Runs | _Descent":
-        if t > 1:
+        if t > 1 or tail and positive[0] and positive[1]:
             return _Descent(bits, positive, base, t)
         if not positive[0]:
-            return _Runs(_psi_deviation(g.adj, bits, base, positive[1], not tail))
+            return _Runs(_psi_deviation(g.adj, bits, base, positive[1]))
         if not positive[1]:
-            return _Runs(_phi_1_deviation(g.adj, bits, base, not tail))
-        return _Runs(_phi_i_deviation(g.adj, bits, base, not tail))
+            return _Runs(_phi_1_deviation(g.adj, bits, base))
+        return _Runs(_phi_i_deviation(g.adj, bits))
 
     if tail:
         tree = new_tree()
@@ -397,11 +399,6 @@ class _Runs:
         return branch
 
 
-# a hit with more deviating labels than this finds the first one by walking
-# the run, not by visiting its bits
-_DENSE_HIT = 8
-
-
 def _file_run(
     pairs: Iterable[tuple[int, int]],
     run: list[int],
@@ -422,12 +419,9 @@ def _file_run(
             run.append(z)
             mask |= 1 << z
             continue
-        if not hit & (hit - 1):
-            j = index[hit.bit_length() - 1]
-        elif hit.bit_count() > _DENSE_HIT:
+        if dz == -1:
+            # deviates at every node, so first at the run's head
             j = 0
-            while not hit >> run[j] & 1:
-                j += 1
         else:
             j = size
             while hit:
@@ -445,7 +439,7 @@ def _file_run(
 
 
 def _phi_1_deviation(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int, tail_free: bool
+    adj: Sequence[Sequence[int]], bits: list[int], base: int
 ) -> Callable[[int], int]:
     """Slot 0 positive, z negative: a label l with A = base & N(l) has
     default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
@@ -461,43 +455,30 @@ def _phi_1_deviation(
             for ubit, a in by_low[y]:
                 if a & zb == a:
                     dz |= ubit
-        if tail_free:
-            if adj[z]:
-                by_low[adj[z][0]] += ((1 << z, zb),)
-        else:
-            a = base & zb
-            if a:
-                by_low[(a & -a).bit_length() - 1] += ((1 << z, a),)
+        a = base & zb
+        if a:
+            by_low[(a & -a).bit_length() - 1] += ((1 << z, a),)
         return dz
 
     return deviation
 
 
-def _phi_i_deviation(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int, tail_free: bool
-) -> Callable[[int], int]:
-    """Both slots positive (phi_i, i >= 2): a node labelled l gives z the
-    bit [base & N(l) & N(z) != 0]. Every default bit is 0, and z deviates
-    at the neighbors of each vertex of base & N(z)."""
+def _phi_i_deviation(adj: Sequence[Sequence[int]], bits: list[int]) -> Callable[[int], int]:
+    """Both slots positive (phi_i, i >= 2) in a tail-free round: a node
+    labelled l gives z the bit [N(l) & N(z) != 0]. Every default bit is 0,
+    and z deviates at the neighbors of each neighbor of z."""
 
     def deviation(z: int) -> int:
         dz = 0
-        if tail_free:
-            for w in adj[z]:
-                dz |= bits[w]
-            return dz
-        ws = base & bits[z]
-        while ws:
-            low = ws & -ws
-            dz |= bits[low.bit_length() - 1]
-            ws ^= low
+        for w in adj[z]:
+            dz |= bits[w]
         return dz
 
     return deviation
 
 
 def _psi_deviation(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool, tail_free: bool
+    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool
 ) -> Callable[[int], int]:
     """Slot 0 negative: with R = base & N(z) for a positive z and base - N(z)
     for a negative one, a node labelled l gives z the bit [R - N(l) != 0].
@@ -506,15 +487,10 @@ def _psi_deviation(
 
     def deviation(z: int) -> int:
         zb = bits[z]
-        if z_positive and tail_free:
-            if not adj[z]:
-                return -1
-            rest, low = zb, adj[z][0]
-        else:
-            rest = base & zb if z_positive else base & ~zb
-            if not rest:
-                return -1
-            low = (rest & -rest).bit_length() - 1
+        rest = base & zb if z_positive else base & ~zb
+        if not rest:
+            return -1
+        low = (rest & -rest).bit_length() - 1
         dz = 0
         for u in adj[low]:
             if rest & bits[u] == rest:
