@@ -24,21 +24,18 @@ core and representatives computed once, and prints |V(H)| in the row's name.
 It also times ``pure.tree_round`` on the tail-free rounds of the core
 sieve: one batch-mode ``domination_core`` on the 40×40 grid at acceptance
 criterion 5's settings (r = 1, k = 8, ell = 120, delta_k = 2) records them
-once, in call order, over its consecutive windows. They are then replayed
-on one shared graph, where a round whose sequence extends that of the
-previous round of its shape resumes that round's tree, and on a fresh
-graph per call, where every round builds its tree anew. Both graphs share
-the grid's neighbour bitsets, and each repeat starts from a new shared
-graph. The grid's batch removals start at the window's smallest vertex, so
-no grid round shares a prefix with the last: that row times the check for
-one. At delta_k = 2 every grid round has two free slots (t = 1), and one
-more fresh-graph row per round shape (edge, phi_1^2, phi_2^2, psi_1^2,
-psi_2^2) shows which shape a change moved. The same replay runs on
-the tail-free arity-4 rounds (four free slots, t = 3) of a batch-mode
-sieve on a 65-vertex ``random_degenerate`` graph at r = 1, k = 2,
-ell = 64, delta_k = 4, the ``degenerate-r1`` workload's settings, whose
-window widens from 64 vertices to all 65; only these rounds keep
-insertions.
+once, in call order, over its consecutive windows, and each is replayed on
+a fresh graph that shares the grid's neighbour bitsets. At delta_k = 2
+every grid round has two free slots (t = 1) and runs the one-bit tree,
+which never resumes; one more row per round shape (edge, phi_1^2, phi_2^2,
+psi_1^2, psi_2^2) shows which shape a change moved. The tail-free arity-4
+rounds (four free slots, t = 3) of a batch-mode sieve on a 65-vertex
+``random_degenerate`` graph at r = 1, k = 2, ell = 64, delta_k = 4, the
+``degenerate-r1`` workload's settings, are replayed both on a fresh graph
+per call and on one shared graph, where a round whose sequence extends
+that of the previous round of its shape resumes that round's tree; each
+repeat starts from a new shared graph. That sieve's window widens from 64
+vertices to all 65, so there the shared graph keeps insertions.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/primitives.py --repeats 7
@@ -193,7 +190,8 @@ def main(argv=None) -> int:
     arity_4 = sieve_rounds(d, CoreConfig(r=1, k=2, ell=64, uqw=UqwConfig(delta_k=4)))
     arity_4 = [rd for rd in arity_4 if rd[3] == 4]
     for label, rows in (
-        ("grid 40x40 sieve", round_benches(g, grid_rounds, "tail-free")
+        ("grid 40x40 sieve",
+         [("tree_round tail-free, fresh", len(grid_rounds), fresh_replay(g, grid_rounds))]
          + shape_benches(g, grid_rounds)),
         ("degenerate n=65 sieve", round_benches(d, arity_4, "t=3")),
     ):

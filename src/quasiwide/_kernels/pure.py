@@ -21,45 +21,42 @@ once.
 Two round shapes skip the per-node descent. With one free slot (t = 0)
 only the root evaluates and every node below it chains, so the round
 partitions the sequence by root signature, in order, and returns the class
-that first reached the greatest length. With two free slots (t = 1) a node
-labelled l gives candidate z one bit, [A_l & L(z) != 0], where
-A_l = base & L0(l) does not depend on z and L is N or its complement by the
-literal's sign. Each node gets a default bit that does not depend on z
-either, and each candidate a deviation mask, the labels where its bit
-differs from the default (-1 when it differs at every node):
+that first reached the greatest length. A tail-free round with two free
+slots (t = 1, which only arity 2 has) gives candidate z one bit at a node
+labelled l, [L0(l) & L(z) != 0], where L0 and L are N or its complement by
+their literals' signs. Each node gets a default bit that does not depend on
+z, and each candidate a deviation mask, the labels where its bit differs
+from the default (-1 when it differs at every node):
 
 - edge atom: default 0; the mask is N(z);
-- slot 0 positive, z negative (phi_1): default [A_l != 0]; z deviates iff
-  A_l lies inside N(z), so only labels whose lowest vertex of A_l is a
-  neighbor of z are tested;
-- both slots positive (phi_i, i >= 2), tail-free: default 0; z deviates
-  iff N(l) meets N(z), so the mask is the union of N(w) over w in N(z).
-  With a tail, base & N(z) is often most of N(z) and the union costs more
-  than the descent, so those rounds stay on it;
-- slot 0 negative (psi): default 1; with R = base & N(z) for a positive z
-  and base - N(z) for a negative one, the bit is [R - N(l) != 0], so z
-  deviates iff R lies inside N(l): only neighbors of min R are tested, and
-  an empty R deviates at every node.
+- slot 0 positive, z negative (phi_1): default [N(l) != 0]; z deviates iff
+  a non-empty N(l) lies inside N(z), so only labels whose lowest neighbor
+  is a neighbor of z are tested;
+- both slots positive (phi_2): default 0; z deviates iff N(l) meets N(z),
+  so the mask is the union of N(w) over w in N(z);
+- slot 0 negative (psi): default 1; with R = N(z) for a positive z and
+  V - N(z) for a negative one, the bit is [R - N(l) != 0], so z deviates
+  iff R lies inside N(l): only neighbors of min R are tested, and an empty
+  R deviates at every node.
 
 A deviation takes the other child. The tree is resolved lazily: only its
 first run, the chain of default children from the root's child down, is
 kept as candidates arrive, and a candidate whose mask misses the run's
 labels extends it. Any other is filed with its mask under its first
-deviation. ``branch`` builds a filed group, by the same rule, only when
-its size leaves room for a node at least as deep as the deepest found so
-far. Both shortcuts give the tree, depths and tie rule of the descent they
-replace.
+deviation. A filed group is built, by the same rule, only when its size
+leaves room for a node at least as deep as the deepest found so far. Both
+shortcuts give the tree, depths and tie rule of the descent they replace.
 
-A tail-free round with two or more free slots stores its tree on ``g``
-(``Graph._rounds``), keyed by (kind, i_split, arity), because the window
-that the core sieve widens to extends the window it split last. The tree
-keeps its labels in insertion order (``placed``), which is the sequence it
-was built from. When the next call of that shape on ``g`` extends that
-sequence, only the extension is inserted, and a one-bit tree resolves its
-groups again; any other sequence starts a fresh tree. Insertion is causal, the tree after seq[:j] depends only on
-seq[:j], so the result equals that of a fresh round. A call that raises
-drops the stored tree of its shape. Rounds with a tail build a fresh tree
-each call.
+Every other round descends. A tail-free descent (three or more free slots)
+stores its tree on ``g`` (``Graph._rounds``), keyed by (kind, i_split,
+arity), because the window that the core sieve widens to extends the
+window it split last. The tree keeps its labels in insertion order
+(``placed``), which is the sequence it was built from. When the next call
+of that shape on ``g`` extends that sequence, only the extension is
+inserted; any other sequence starts a fresh tree. Insertion is causal, the
+tree after seq[:j] depends only on seq[:j], so the result equals that of a
+fresh round. A call that raises drops the stored tree of its shape. A
+descent with a tail builds a fresh tree each call.
 
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
@@ -139,7 +136,7 @@ def tree_round(
     than q-1 have no tuples to evaluate and chain. ``seq`` must not repeat a
     vertex; with two or more free slots a repeat raises ValueError.
 
-    Every tail-free round with two or more free slots whose ``seq``
+    Every tail-free round with three or more free slots whose ``seq``
     extends the sequence of the last call of its shape on ``g`` resumes the
     tree that call left; the result is a fresh list, equal to the one a
     fresh graph gives.
@@ -158,7 +155,7 @@ def tree_round(
         if t == 0:
             return _partition_round(seq, [(bits[z] >> tail[0]) & 1 for z in seq])
         # default bit 0: z deviates at its neighbors
-        return _resume(g, (kind, i_split, arity), seq, lambda: _Runs(bits.__getitem__))
+        return _one_bit_round(seq, bits.__getitem__)
     # positive[p]: argument position p is a positive literal
     if kind == PHI:
         positive = [p < i_split for p in range(arity)]
@@ -171,31 +168,28 @@ def tree_round(
         if positive[0]:
             return _partition_round(seq, [base & bits[z] != 0 for z in seq])
         return _partition_round(seq, [base & ~bits[z] != 0 for z in seq])
-
-    def new_tree() -> "_Runs | _Descent":
-        if t > 1 or tail and positive[0] and positive[1]:
-            return _Descent(bits, positive, base, t)
+    if t == 1 and not tail:
+        # arity 2: one bit per node, base is all of V
         if not positive[0]:
-            return _Runs(_psi_deviation(g.adj, bits, base, positive[1]))
+            return _one_bit_round(seq, _psi_deviation(g.adj, bits, base, positive[1]))
         if not positive[1]:
-            return _Runs(_phi_1_deviation(g.adj, bits, base))
-        return _Runs(_phi_i_deviation(g.adj, bits))
-
+            return _one_bit_round(seq, _phi_1_deviation(g.adj, bits))
+        return _one_bit_round(seq, _phi_2_deviation(g.adj, bits))
     if tail:
-        tree = new_tree()
+        tree = _Descent(bits, positive, base, t)
         tree.extend(seq)
         return tree.branch()
-    return _resume(g, (kind, i_split, arity), seq, new_tree)
+    return _resume(g, (kind, i_split, arity), seq, lambda: _Descent(bits, positive, base, t))
 
 
 def _resume(
     g: Graph,
     key: tuple[int, int, int],
     seq: Sequence[int],
-    new_tree: "Callable[[], _Runs | _Descent]",
+    new_tree: "Callable[[], _Descent]",
 ) -> list[int]:
-    """Grow the round of shape ``key`` on ``g`` from the tree its last call
-    left when ``seq`` extends that call's sequence, else from
+    """Grow the descent of shape ``key`` on ``g`` from the tree its last
+    call left when ``seq`` extends that call's sequence, else from
     ``new_tree()``. The stored tree leaves the cache while it grows, so a
     call that raises drops it."""
     trees = g._rounds
@@ -313,109 +307,73 @@ def _partition_round(seq: Sequence[int], sigs: Sequence[int]) -> list[int]:
     return best
 
 
-class _Runs:
-    """The tree of a round with one signature bit per node (t = 1). Each
-    node has a default bit that does not depend on z, and ``deviation(z)``
-    is the mask of the labels where z's bit differs from it, -1 when it
-    differs at every node. The mask must be exact on the labels inserted
-    before z; it is never tested against later ones.
+def _one_bit_round(seq: Sequence[int], deviation: Callable[[int], int]) -> list[int]:
+    """The round with one signature bit per node (t = 1). Each node has a
+    default bit that does not depend on z, and ``deviation(z)`` is the mask
+    of the labels where z's bit differs from it, -1 when it differs at
+    every node. It is called once per candidate, in order, and must be
+    exact on the labels before z; it is never tested against later ones.
 
-    Only the first run, the chain of default children from the root's
-    child down, is built as candidates arrive: ``run`` holds its labels in
-    order, ``mask`` their bits and ``index`` each label's position. A
-    candidate whose mask misses ``mask`` extends the run; any other is
-    filed in ``filed[j]``, with its mask, under its first deviation j, the
-    node whose other child it enters. ``branch`` builds only the subtrees
-    that can hold the deepest node.
-
-    ``placed`` maps each label inserted so far to its insertion index, in
-    insertion order.
-    """
-
-    __slots__ = ("deviation", "placed", "run", "index", "mask", "filed")
-
-    def __init__(self, deviation: Callable[[int], int]) -> None:
-        self.deviation = deviation
-        self.placed: dict[int, int] = {}
-        self.run: list[int] = []
-        self.index: dict[int, int] = {}
-        self.mask = 0
-        self.filed: dict[int, list[tuple[int, int]]] = {}
-
-    def extend(self, seq: Sequence[int]) -> None:
-        """Insert ``seq`` after the labels already in the tree; a label
-        already in it raises ValueError and leaves the tree unusable."""
-        placed = self.placed
-        start = len(placed)
-        placed.update(zip(seq, range(start, start + len(seq))))
-        if len(placed) != start + len(seq):
-            # the labels stored before keep their places at the front
-            seen = set(list(placed)[:start])
-            z = next(z for z in seq if z in seen or seen.add(z))
-            raise ValueError(f"vertex {z} repeats in the sequence")
-        pairs = list(zip(seq, map(self.deviation, seq)))
-        self.mask = _file_run(pairs, self.run, self.index, self.filed, self.mask)
-
-    def branch(self) -> list[int]:
-        """The labels from the root's child to the deepest node, the
-        earliest inserted on ties.
-
-        The first run's deepest node is its last label. A group of c
-        candidates filed under a run's node at depth d holds no node deeper
-        than d + c, so a group whose bound is below the deepest node found
-        so far is never built; one whose bound ties it may hold an earlier
-        node of that depth, so it is built."""
-        run, placed = self.run, self.placed
-        if not run:
-            return []
-        # a subtree is (its first run, (parent subtree, index) or None)
-        top: tuple = (run, None)
-        best, best_depth, best_order = (top, len(run) - 1), len(run), placed[run[-1]]
-        # (subtree, depth of its run's head, its filed groups)
-        stack = [(top, 1, self.filed)]
-        while stack:
-            tree, head, filed = stack.pop()
-            for j, group in filed.items():
-                start = head + j + 1
-                if start + len(group) - 1 < best_depth:
-                    continue
-                sub_run: list[int] = []
-                sub_filed: dict[int, list[tuple[int, int]]] = {}
-                _file_run(group, sub_run, {}, sub_filed, 0)
-                sub = (sub_run, (tree, j))
-                depth, order = start + len(sub_run) - 1, placed[sub_run[-1]]
-                if depth > best_depth or depth == best_depth and order < best_order:
-                    best, best_depth, best_order = (sub, len(sub_run) - 1), depth, order
-                if sub_filed:
-                    stack.append((sub, start, sub_filed))
-        branch: list[int] = []
-        (run, hang), j = best
-        while True:
-            branch.extend(reversed(run[: j + 1]))
-            if hang is None:
-                break
-            (run, hang), j = hang
-        branch.reverse()
-        return branch
+    Returns the labels from the root's child to the deepest node, the
+    earliest inserted on ties. The first run's deepest node is its last
+    label. A group of c candidates filed under a run's node at depth d
+    holds no node deeper than d + c, so a group whose bound is below the
+    deepest node found so far is never built; one whose bound ties it may
+    hold an earlier node of that depth, so it is built."""
+    order = {z: i for i, z in enumerate(seq)}
+    if len(order) != len(seq):
+        seen: set[int] = set()
+        z = next(z for z in seq if z in seen or seen.add(z))
+        raise ValueError(f"vertex {z} repeats in the sequence")
+    if not seq:
+        return []
+    run, filed = _file_run(zip(seq, map(deviation, seq)))
+    # a subtree is (its first run, (parent subtree, index) or None)
+    top: tuple = (run, None)
+    best, best_depth, best_order = (top, len(run) - 1), len(run), order[run[-1]]
+    # (subtree, depth of its run's head, its filed groups)
+    stack = [(top, 1, filed)]
+    while stack:
+        tree, head, filed = stack.pop()
+        for j, group in filed.items():
+            start = head + j + 1
+            if start + len(group) - 1 < best_depth:
+                continue
+            sub_run, sub_filed = _file_run(group)
+            sub = (sub_run, (tree, j))
+            depth, rank = start + len(sub_run) - 1, order[sub_run[-1]]
+            if depth > best_depth or depth == best_depth and rank < best_order:
+                best, best_depth, best_order = (sub, len(sub_run) - 1), depth, rank
+            if sub_filed:
+                stack.append((sub, start, sub_filed))
+    branch: list[int] = []
+    (run, hang), j = best
+    while True:
+        branch.extend(reversed(run[: j + 1]))
+        if hang is None:
+            break
+        (run, hang), j = hang
+    branch.reverse()
+    return branch
 
 
 def _file_run(
     pairs: Iterable[tuple[int, int]],
-    run: list[int],
-    index: dict[int, int],
-    filed: dict[int, list[tuple[int, int]]],
-    mask: int,
-) -> int:
-    """Place each (z, deviation mask) in order: on the end of ``run``, the
-    labels of a first run whose bits are ``mask``, or in ``filed`` under
-    its first deviation. Returns the run's new mask."""
-    size = len(run)
+) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
+    """Place each (z, deviation mask) in order: on the end of the first
+    run, the chain of default children, or under its first deviation j, the
+    run's node whose other child it enters. Returns the run and the groups
+    filed under each j."""
+    run: list[int] = []
+    index: dict[int, int] = {}
+    filed: dict[int, list[tuple[int, int]]] = {}
+    # the bits of the run's labels
+    mask = 0
     for pair in pairs:
         z, dz = pair
         hit = dz & mask
         if not hit:
-            index[z] = size
-            size += 1
+            index[z] = len(run)
             run.append(z)
             mask |= 1 << z
             continue
@@ -423,7 +381,7 @@ def _file_run(
             # deviates at every node, so first at the run's head
             j = 0
         else:
-            j = size
+            j = len(run)
             while hit:
                 low = hit & -hit
                 i = index[low.bit_length() - 1]
@@ -435,16 +393,14 @@ def _file_run(
             filed[j] = [pair]
         else:
             group.append(pair)
-    return mask
+    return run, filed
 
 
-def _phi_1_deviation(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int
-) -> Callable[[int], int]:
-    """Slot 0 positive, z negative: a label l with A = base & N(l) has
-    default bit [A != 0], and z deviates iff A is non-empty and inside N(z).
-    Labels with A non-empty are indexed by the lowest vertex of A, which is
-    a neighbor of every z that deviates there. Each call indexes z after
+def _phi_1_deviation(adj: Sequence[Sequence[int]], bits: list[int]) -> Callable[[int], int]:
+    """Slot 0 positive, z negative: a label l has default bit
+    [N(l) != 0], and z deviates iff N(l) is non-empty and inside N(z).
+    Labels with a neighbor are indexed by their lowest neighbor, which is a
+    neighbor of every z that deviates there. Each call indexes z after
     building its mask, so the mask covers the labels inserted before z."""
     by_low: list[tuple[tuple[int, int], ...]] = [()] * len(adj)
 
@@ -455,18 +411,17 @@ def _phi_1_deviation(
             for ubit, a in by_low[y]:
                 if a & zb == a:
                     dz |= ubit
-        a = base & zb
-        if a:
-            by_low[(a & -a).bit_length() - 1] += ((1 << z, a),)
+        if zb:
+            by_low[(zb & -zb).bit_length() - 1] += ((1 << z, zb),)
         return dz
 
     return deviation
 
 
-def _phi_i_deviation(adj: Sequence[Sequence[int]], bits: list[int]) -> Callable[[int], int]:
-    """Both slots positive (phi_i, i >= 2) in a tail-free round: a node
-    labelled l gives z the bit [N(l) & N(z) != 0]. Every default bit is 0,
-    and z deviates at the neighbors of each neighbor of z."""
+def _phi_2_deviation(adj: Sequence[Sequence[int]], bits: list[int]) -> Callable[[int], int]:
+    """Both slots positive (phi_2): a node labelled l gives z the bit
+    [N(l) & N(z) != 0]. Every default bit is 0, and z deviates at the
+    neighbors of each neighbor of z."""
 
     def deviation(z: int) -> int:
         dz = 0
@@ -478,16 +433,16 @@ def _phi_i_deviation(adj: Sequence[Sequence[int]], bits: list[int]) -> Callable[
 
 
 def _psi_deviation(
-    adj: Sequence[Sequence[int]], bits: list[int], base: int, z_positive: bool
+    adj: Sequence[Sequence[int]], bits: list[int], full: int, z_positive: bool
 ) -> Callable[[int], int]:
-    """Slot 0 negative: with R = base & N(z) for a positive z and base - N(z)
-    for a negative one, a node labelled l gives z the bit [R - N(l) != 0].
-    Every node's default bit is 1, so z deviates exactly where R lies inside
-    N(l): at neighbors of min R, or at every node when R is empty (-1)."""
+    """Slot 0 negative: with R = N(z) for a positive z and V - N(z) for a
+    negative one (``full`` is V), a node labelled l gives z the bit
+    [R - N(l) != 0]. Every node's default bit is 1, so z deviates exactly
+    where R lies inside N(l): at neighbors of min R, or at every node when
+    R is empty (-1)."""
 
     def deviation(z: int) -> int:
-        zb = bits[z]
-        rest = base & zb if z_positive else base & ~zb
+        rest = bits[z] if z_positive else full & ~bits[z]
         if not rest:
             return -1
         low = (rest & -rest).bit_length() - 1

@@ -36,23 +36,21 @@ class Graph:
     ``adj[v]`` is the sorted tuple of neighbors of ``v`` and ``c`` is the
     degeneracy. Treat instances as frozen; the private fields only cache
     derived values and, in ``_rounds``, the tree of the last tail-free
-    type-tree round of each shape, which ``_kernels.pure`` resumes when the
-    next round of that shape extends its sequence.
+    descent of each shape, a type-tree round with three or more free slots,
+    which ``_kernels.pure`` resumes when the next round of that shape
+    extends its sequence. The compiled round never resumes, so only the
+    pure build fills it. ``_bits`` may be passed to share another graph's
+    neighbor bitsets.
     """
 
     def __init__(
-        self,
-        n: int,
-        adj: tuple[tuple[int, ...], ...],
-        _c: int | None = None,
-        _bits: list[int] | None = None,
-        _rounds: dict | None = None,
+        self, n: int, adj: tuple[tuple[int, ...], ...], _bits: list[int] | None = None
     ) -> None:
         self.n = n
         self.adj = adj
-        self._c = _c
+        self._c: int | None = None
         self._bits = _bits
-        self._rounds = _rounds
+        self._rounds: dict | None = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, adj={self.adj!r})"

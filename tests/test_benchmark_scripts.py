@@ -23,20 +23,21 @@ def test_primitives_script_runs_every_case():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 27
-    assert "reduce_dominators |Y|=" in rows[-11]
-    assert "build_kernel |V(H)|=" in rows[-10]
-    for shape, (shared, fresh) in (("tail-free", rows[-9:-7]), ("t=3", rows[-2:])):
-        assert f"tree_round {shape}, shared" in shared
-        assert f"tree_round {shape}, fresh" in fresh
-        # both replay the same recorded rounds
-        assert shared.split()[-2] == fresh.split()[-2] != "0"
+    assert len(rows) == 26
+    assert "reduce_dominators |Y|=" in rows[-10]
+    assert "build_kernel |V(H)|=" in rows[-9]
+    shared, fresh = rows[-2:]
+    assert "tree_round t=3, shared" in shared
+    assert "tree_round t=3, fresh" in fresh
+    # both replay the same recorded rounds
+    assert shared.split()[-2] == fresh.split()[-2] != "0"
     # one fresh row per shape of the grid sieve's tail-free rounds, which
     # together replay all of them
+    assert rows[-8].startswith("grid 40x40 sieve") and "tree_round tail-free, fresh" in rows[-8]
     shapes = rows[-7:-2]
     for row, name in zip(shapes, ("edge", "phi_1^2", "phi_2^2", "psi_1^2", "psi_2^2")):
         assert row.startswith("grid 40x40 sieve") and f"tree_round {name}, fresh" in row
-    assert sum(int(row.split()[-2]) for row in shapes) == int(rows[-9].split()[-2])
+    assert sum(int(row.split()[-2]) for row in shapes) == int(rows[-8].split()[-2]) != 0
 
 
 def test_ab_passes_script_runs_a_pair():

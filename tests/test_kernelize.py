@@ -299,9 +299,10 @@ def _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, batch):
 
 @pytest.mark.parametrize("batch", [True, False])
 def test_sieve_resumed_rounds_match_fresh_rounds(monkeypatch, batch):
-    # criterion-5 settings at k = 8
-    g = generate(GenSpec("grid", {"w": 40, "h": 16}))
-    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=2))
+    # criterion-5 settings at k = 8, but with arity-3 formulas, whose
+    # tail-free rounds descend and are stored
+    g = generate(GenSpec("grid", {"w": 20, "h": 12}))
+    cfg = CoreConfig(r=1, k=8, ell=120, uqw=UqwConfig(delta_k=3))
     _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, batch)
 
 

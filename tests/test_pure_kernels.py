@@ -5,13 +5,14 @@ of evaluating each tuple on its own. ``reference_tree_round`` below is the
 per-tuple insertion loop it replaced, with the witness scan
 ``logic._eval_reference`` as its evaluator, so branches are checked against
 an implementation that shares no bitset code with the backend.
-Tail-free rounds that resume the tree of the previous call on the same
-graph are checked against both the reference and a fresh graph. The lazy
-one-bit rounds (two free slots) are checked on random and hub graphs, and on
+Tail-free descents (three or more free slots) that resume the tree of the
+previous call on the same graph are checked against both the reference and
+a fresh graph, and no other round stores a tree. The lazy one-bit rounds
+(two free slots, tail-free) are checked on random and hub graphs, and on
 crafted sequences where a filed group ties, falls one short of or beats the
-first run, or a resumed extension makes a skipped group the deepest. The fold of
-one node's combinations, ``pure._combination_signature``, is checked on its
-own against a per-combination loop, from one to four slots.
+first run. The fold of one node's combinations,
+``pure._combination_signature``, is checked on its own against a
+per-combination loop, from one to four slots.
 ``pure.nr_masks`` is checked against ``graph.bfs_limited``.
 """
 
@@ -232,7 +233,7 @@ def test_one_bit_round_rejects_repeated_vertex(kind, i_split):
         pure.tree_round(g, [3, 50, 7, 3], kind, i_split, 2, ())
     with pytest.raises(ValueError, match="vertex 3 repeats"):
         pure.tree_round(g, [3, 50, 3], kind, i_split, 3, (9,))
-    # a repeat of a label that a stored tree already holds
+    # a repeat after a round of the same shape on the graph
     pure.tree_round(g, [3, 50], kind, i_split, 2, ())
     with pytest.raises(ValueError, match="vertex 50 repeats"):
         pure.tree_round(g, [3, 50, 7, 50], kind, i_split, 2, ())
@@ -241,7 +242,7 @@ def test_one_bit_round_rejects_repeated_vertex(kind, i_split):
 def one_bit_shapes():
     """(kind, i_split, arity, tail length) of every round with two free
     slots (t = 1) up to arity 4: the edge atom, phi_1, phi_i with i >= 2
-    and psi, tail-free and with a tail."""
+    and psi. The tail-free ones run the one-bit tree, the others descend."""
     return [(kind, i, arity, arity - 2) for kind, i, arity in formulas(4)]
 
 
@@ -252,9 +253,8 @@ def one_bit_shapes():
     density=st.sampled_from([0.1, 0.25, 0.5, 0.8, 0.95]),
     hub=st.booleans(),
     rnd=st.randoms(use_true_random=False),
-    cut=st.integers(0, 22),
 )
-def test_lazy_one_bit_rounds_match_reference(shape, n, density, hub, rnd, cut):
+def test_lazy_one_bit_rounds_match_reference(shape, n, density, hub, rnd):
     # dense graphs, and a hub adjacent to nearly every vertex, give
     # deviation masks that hit many labels of a long first run, and
     # candidates that deviate at every node
@@ -273,11 +273,6 @@ def test_lazy_one_bit_rounds_match_reference(shape, n, density, hub, rnd, cut):
     tail, seq = tuple(verts[:tail_len]), verts[tail_len:]
     want = reference_tree_round(g, seq, kind, i_split, arity, tail)
     assert pure.tree_round(g, seq, kind, i_split, arity, tail) == want
-    if not tail:
-        # a stored prefix, extended: the groups filed so far resolve again
-        h = Graph(g.n, g.adj)
-        pure.tree_round(h, seq[:cut], kind, i_split, arity, ())
-        assert pure.tree_round(h, seq, kind, i_split, arity, ()) == want
 
 
 def _run_and_group():
@@ -303,6 +298,9 @@ def _run_and_group():
         ([0, 1, 2, 3, 4, 6], [0, 3, 4, 6]),
         # the group (1, 2, 7) is deeper than the run (0, 3)
         ([0, 1, 3, 2, 7], [0, 1, 2, 7]),
+        # the group (1, 2, 7) under 0 reaches depth 4 and beats the run
+        # (0, 3, 4), which it could not before 2 and 7 arrived
+        ([0, 1, 3, 4, 2, 7], [0, 1, 2, 7]),
     ],
 )
 def test_lazy_tree_resolves_groups_against_the_first_run(seq, want):
@@ -319,18 +317,6 @@ def test_lazy_tree_files_a_dense_hit_under_its_first_deviation():
     want = [1, 0, *range(11, 21)]
     assert reference_tree_round(g, seq, 0, 0, 2, ()) == want
     assert pure.tree_round(g, seq, 0, 0, 2, ()) == want
-
-
-def test_resumed_extension_makes_a_pruned_group_deepest():
-    g = _run_and_group()
-    # the group (1) under 0 cannot beat the run (0, 3, 4) and is not built
-    assert pure.tree_round(g, [0, 1, 3, 4], 0, 0, 2, ()) == [0, 3, 4]
-    stored = g._rounds[(0, 0, 2)]
-    # the extension files 2 and 7 in that group, which now reaches depth 4
-    seq = [0, 1, 3, 4, 2, 7]
-    assert pure.tree_round(g, seq, 0, 0, 2, ()) == [0, 1, 2, 7]
-    assert g._rounds[(0, 0, 2)] is stored
-    assert reference_tree_round(g, seq, 0, 0, 2, ()) == [0, 1, 2, 7]
 
 
 @pytest.mark.parametrize(
@@ -350,6 +336,26 @@ def test_one_free_slot_tie_goes_to_the_class_completed_first(seq, want):
     # phi with i_split 1: some witness adjacent to z and not to 0
     got = pure.tree_round(g, seq, 1, 1, 2, (0,))
     assert got == reference_tree_round(g, seq, 1, 1, 2, (0,))
+
+
+def descent_shapes():
+    """(kind, i_split, arity) of every formula of arity 3 or 4, whose
+    tail-free rounds descend and resume."""
+    return [shape for shape in formulas(4) if shape[2] >= 3]
+
+
+def test_only_tail_free_descents_are_stored():
+    g = Graph(GRAPHS[5].n, GRAPHS[5].adj)
+    seq = list(range(12))
+    for kind, i_split, arity in formulas(4):
+        for tail_len in range(1, arity):
+            pure.tree_round(g, seq[tail_len:], kind, i_split, arity, seq[:tail_len])
+            assert g._rounds is None, (kind, i_split, arity, tail_len)
+        if arity == 2:
+            pure.tree_round(g, seq, kind, i_split, arity, ())
+            assert g._rounds is None, (kind, i_split, arity)
+    pure.tree_round(g, seq, 1, 2, 3, ())
+    assert list(g._rounds) == [(1, 2, 3)]
 
 
 # How the next sequence of a resumed run derives from the current one and
@@ -382,7 +388,7 @@ def test_tail_free_rounds_resume_on_a_shared_graph(index, shuffle, first, steps)
     # tuple count at arity 4
     del perm[20:]
     cur = perm[:first]
-    shapes = list(formulas(4))
+    shapes = descent_shapes()
     for op, j, m in [("identical", 0, 0), *steps, ("identical", 0, 0)]:
         others = [v for v in perm if v not in cur]
         if op == "repeated":
@@ -406,12 +412,13 @@ def test_tail_free_rounds_resume_on_a_shared_graph(index, shuffle, first, steps)
 def test_tail_free_round_resumes_only_an_extension(monkeypatch):
     # every extend call, with the tree it grew and the labels it inserted
     inserted = []
-    for cls in (pure._Runs, pure._Descent):
-        def extend(tree, seq, real=cls.extend):
-            inserted.append((tree, list(seq)))
-            real(tree, seq)
+    real = pure._Descent.extend
 
-        monkeypatch.setattr(cls, "extend", extend)
+    def extend(tree, seq):
+        inserted.append((tree, list(seq)))
+        real(tree, seq)
+
+    monkeypatch.setattr(pure._Descent, "extend", extend)
     base = GRAPHS[5]
     perm = list(range(base.n))
     random.Random(3).shuffle(perm)
@@ -423,7 +430,7 @@ def test_tail_free_round_resumes_only_an_extension(monkeypatch):
         "suffix replaced": (perm[:9] + perm[12:16], False),
         "disjoint": (perm[10:18], False),
     }
-    for shape in formulas(4):
+    for shape in descent_shapes():
         for op, (seq, extends) in nexts.items():
             g = Graph(base.n, base.adj)
             pure.tree_round(g, first, *shape, ())
