@@ -5,9 +5,10 @@ repeat and the median time per call over the repeats, in µs:
 
 - ``bfs_limited`` from every vertex, at depths 1 and 2 (the half radii of
   the splitter's distance checks at r = 2 and r = 4);
-- ``is_r_independent`` at r = 2 (one walk to depth 1) and r = 3 (one
-  full-radius walk per member), each on a greedy r-scattered set, so that
-  the check answers True after walking every ball;
+- ``is_r_independent`` at r = 2 and r = 3 (one walk that grows every
+  member's ball to depth 1, plus a pass over the balls' edges at r = 3),
+  each on a greedy r-scattered set, so that the check answers True after
+  walking every ball;
 - ``uqw._prune_spread`` over all vertices, at distances 2 and 4;
 - ``build_graph`` from the graph's edge list, once without and once with
   reading the degeneracy ``c``, which runs the peel.
@@ -35,7 +36,10 @@ rounds (four free slots, t = 3) of a batch-mode sieve on a 65-vertex
 per call and on one shared graph, where a round whose sequence extends
 that of the previous round of its shape resumes that round's tree; each
 repeat starts from a new shared graph. That sieve's window widens from 64
-vertices to all 65, so there the shared graph keeps insertions.
+vertices to all 65, so there the shared graph keeps insertions. Whenever
+the compiled round (``quasiwide._kernels.native_wrap``) imports, one more
+row replays the same arity-4 rounds through it, each on a fresh graph; build
+it in place first with ``python3 setup.py build_ext --inplace``.
 
 Usage:
     PYTHONPATH=src python3 benchmarks/primitives.py --repeats 7
@@ -54,6 +58,11 @@ from quasiwide.generators import GenSpec, generate
 from quasiwide.graph import Graph, adjacency_bitsets, bfs_limited, build_graph, is_r_independent
 from quasiwide.kernelize import CoreConfig, build_kernel, domination_core, reduce_dominators
 from quasiwide.uqw import UqwConfig, _prune_spread
+
+try:
+    from quasiwide._kernels import native_wrap
+except ImportError:
+    native_wrap = None
 
 GRAPHS = (
     ("grid 40x40", GenSpec("grid", {"w": 40, "h": 40})),
@@ -119,29 +128,33 @@ def sieve_rounds(g, cfg):
     return rounds
 
 
-def fresh_replay(g, rounds):
-    """Replay the recorded rounds, each on a fresh graph that shares the
-    neighbour bitsets of ``g``."""
+def fresh_replay(g, rounds, tree_round=pure.tree_round):
+    """Replay the recorded rounds through ``tree_round``, each on a fresh
+    graph that shares the neighbour bitsets of ``g``."""
     bits = adjacency_bitsets(g)
     return lambda: [
-        pure.tree_round(Graph(g.n, g.adj, _bits=bits), seq, kind, i, arity, ())
+        tree_round(Graph(g.n, g.adj, _bits=bits), seq, kind, i, arity, ())
         for seq, kind, i, arity in rounds
     ]
 
 
 def round_benches(g, rounds, label):
     """The recorded rounds on one shared graph and on a fresh graph per
-    call."""
+    call, and compiled on a fresh graph per call when that round imports."""
     bits = adjacency_bitsets(g)
 
     def shared():
         h = Graph(g.n, g.adj, _bits=bits)
         return [pure.tree_round(h, seq, kind, i, arity, ()) for seq, kind, i, arity in rounds]
 
-    return [
+    rows = [
         (f"tree_round {label}, shared", len(rounds), shared),
         (f"tree_round {label}, fresh", len(rounds), fresh_replay(g, rounds)),
     ]
+    if native_wrap is not None:
+        rows.append((f"tree_round {label}, compiled", len(rounds),
+                     fresh_replay(g, rounds, native_wrap.tree_round)))
+    return rows
 
 
 def shape_benches(g, rounds):

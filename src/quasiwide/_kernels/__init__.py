@@ -11,16 +11,11 @@ also their semantic reference:
 
 ``tree_round`` alone has a compiled twin, the hand-written C extension
 ``_native`` (CPython API only, no build-time or runtime dependencies). When
-it imports, ``native_wrap.tree_round`` runs rounds with three or more free
-slots (``arity - len(tail) >= 3``) on its per-node descent, the only round
-shape where compiled code beats pure, and hands every other round to
-``pure``. The C round rejects rounds with fewer free slots, where pure
-partitions (one free slot), runs the one-bit tree (two, tail-free) or
-descends a tree of one bit per node (two, with a tail). The compiled round
-never resumes a stored tree. Every tail-free phi and psi round of arity 3
-and 4 ran 1.9-27x faster compiled than a fresh pure round on 120-vertex
-graphs (``benchmarks/backend_compare.py`` times four of them). ``BACKEND``
-names the ``tree_round`` in use: "native" or "pure".
+it imports, every round goes through ``native_wrap.tree_round`` and
+``BACKEND`` is "native"; otherwise through ``pure.tree_round``, and
+``BACKEND`` is "pure". Which round shapes run compiled is stated in
+``native_wrap``; how pure runs each shape, and which rounds resume a stored
+tree, in ``pure``.
 
 Formula semantics are pinned outside both backends by the witness scan
 ``logic._eval_reference``: ``tests/test_pure_kernels.py`` checks the pure

@@ -2,8 +2,11 @@
 
 Packs adjacency once per graph (weakly cached) into bytes holding one row of
 little-endian 64-bit words per vertex, and forwards type-tree rounds with
-three or more free slots. Rounds with at most two free slots, and formulas
-wider than the compiled argument buffer, go to the pure implementation.
+three or more free slots (``arity - len(tail) >= 3``), the only shape where
+the compiled per-node descent beats pure. It builds a fresh tree each call
+and never resumes one that ``pure`` stored. Rounds with at most two free
+slots, and formulas wider than the compiled argument buffer, go to
+``pure.tree_round``.
 """
 
 from __future__ import annotations

@@ -48,15 +48,16 @@ leaves room for a node at least as deep as the deepest found so far. Both
 shortcuts give the tree, depths and tie rule of the descent they replace.
 
 Every other round descends. A tail-free descent (three or more free slots)
-stores its tree on ``g`` (``Graph._rounds``), keyed by (kind, i_split,
-arity), because the window that the core sieve widens to extends the
-window it split last. The tree keeps its labels in insertion order
-(``placed``), which is the sequence it was built from. When the next call
-of that shape on ``g`` extends that sequence, only the extension is
-inserted; any other sequence starts a fresh tree. Insertion is causal, the
-tree after seq[:j] depends only on seq[:j], so the result equals that of a
-fresh round. A call that raises drops the stored tree of its shape. A
-descent with a tail builds a fresh tree each call.
+stores its tree for ``g`` in ``_descents``, a weak map from graph to trees
+keyed by (kind, i_split, arity), because the window that the core sieve
+widens to extends the window it split last. A graph's trees go when the
+graph does, and a copy of a graph starts with none. The tree keeps its
+labels in insertion order (``placed``), which is the sequence it was built
+from. When the next call of that shape on ``g`` extends that sequence, only
+the extension is inserted; any other sequence starts a fresh tree.
+Insertion is causal, the tree after seq[:j] depends only on seq[:j], so the
+result equals that of a fresh round. A call that raises drops the stored
+tree of its shape. A descent with a tail builds a fresh tree each call.
 
 ``nr_masks`` grows every closed ball by one step per round, OR-ing the
 neighbors' balls of the previous round, and stops early at a fixed point.
@@ -64,12 +65,16 @@ neighbors' balls of the previous round, and stops early at a fixed point.
 
 from __future__ import annotations
 
+import weakref
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from ..graph import Graph, adjacency_bitsets
 
 EDGE, PHI, PSI = 0, 1, 2
+
+# the stored tail-free descents of each graph, by (kind, i_split, arity)
+_descents: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
 def eval_formula(
@@ -108,7 +113,7 @@ def eval_formula(
 class _Node:
     """A descent node. It names its parent by label (-1 for the root), so
     a tree holds no reference cycle and is freed as soon as it is dropped,
-    even after it outlived its round in a graph's cache."""
+    even after it outlived its round in ``_descents``."""
 
     __slots__ = ("label", "up", "depth", "children")
 
@@ -190,11 +195,9 @@ def _resume(
 ) -> list[int]:
     """Grow the descent of shape ``key`` on ``g`` from the tree its last
     call left when ``seq`` extends that call's sequence, else from
-    ``new_tree()``. The stored tree leaves the cache while it grows, so a
-    call that raises drops it."""
-    trees = g._rounds
-    if trees is None:
-        trees = g._rounds = {}
+    ``new_tree()``. The stored tree leaves ``_descents`` while it grows, so
+    a call that raises drops it."""
+    trees = _descents.setdefault(g, {})
     tree = trees.pop(key, None)
     if tree is not None and tree.placed:
         # most stored trees differ at their first label: test it before

@@ -35,12 +35,8 @@ class Graph:
 
     ``adj[v]`` is the sorted tuple of neighbors of ``v`` and ``c`` is the
     degeneracy. Treat instances as frozen; the private fields only cache
-    derived values and, in ``_rounds``, the tree of the last tail-free
-    descent of each shape, a type-tree round with three or more free slots,
-    which ``_kernels.pure`` resumes when the next round of that shape
-    extends its sequence. The compiled round never resumes, so only the
-    pure build fills it. ``_bits`` may be passed to share another graph's
-    neighbor bitsets.
+    values derived from the graph. ``_bits`` may be passed to share another
+    graph's neighbor bitsets.
     """
 
     def __init__(
@@ -50,7 +46,6 @@ class Graph:
         self.adj = adj
         self._c: int | None = None
         self._bits = _bits
-        self._rounds: dict | None = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, adj={self.adj!r})"

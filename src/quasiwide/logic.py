@@ -147,11 +147,9 @@ def extract_indiscernible(g: Graph, seq: Sequence[int], delta: Sequence[FormulaI
     indiscernible for already-processed formulas). A formula of arity k gets
     k rounds; round m fixes the current last m elements, inserts the prefix
     into a type tree, and the working sequence becomes the longest branch
-    followed by that tail. Only a tail-free round of arity 3 or more may
-    resume the tree that the last round of its formula on ``g`` left, when
-    its prefix extends that round's sequence, with the same result; every
-    other round builds a fresh tree. Sequences no longer than a formula's
-    arity are left alone by it (at most one tuple exists).
+    followed by that tail; ``_kernels.pure`` says which rounds resume a
+    stored tree, always with a fresh tree's result. Sequences no longer than
+    a formula's arity are left alone by it (at most one tuple exists).
 
     An already-indiscernible input comes back unchanged.
     """

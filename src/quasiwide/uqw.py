@@ -5,12 +5,14 @@ and a subset B of A that is r-independent in G - S. It runs one loop of
 ceil(r/2) rounds. Round i extracts a long indiscernible sequence, moves
 vertices adjacent to more than half of it (``THETA``) into S unless it has
 fewer than two elements, and thins the survivors to pairwise distance > 2i
-in G - S. Round i + 1 then extracts on the graph that contracts radius-i
-balls around those survivors, so it sees one vertex per ball. Round 1 is
-the uncontracted case: it extracts on G itself from A. After the last round
-the survivors are pairwise more than r apart in G - S. :class:`UqwConfig`
-sets the two parameters that vary: the budget for |S| and the arity of the
-formula family every round extracts with.
+in G - S. Round i + 1 then contracts the radius-i balls around those
+survivors, keeps only survivors whose balls are pairwise non-adjacent (an
+independent subsequence of that contraction), and extracts on the graph
+that contracts the balls around the ones kept, so it sees one vertex per
+ball. Round 1 is the uncontracted case: it extracts on G itself from A.
+After the last round the survivors are pairwise more than r apart in
+G - S. :class:`UqwConfig` sets the two parameters that vary: the budget for
+|S| and the arity of the formula family every round extracts with.
 
 The splitter refuses dense inputs: when S outgrows its budget the offending
 extraction sequence is returned inside a :class:`~quasiwide.errors.DensityError`

@@ -1,8 +1,9 @@
 """Smoke tests for the timing scripts under ``benchmarks/``: they run to the
 end and print every case, so a change to the code they call cannot leave
-them broken unnoticed. ``backend_compare.py`` runs against the compiled
-round of the ``native`` fixture (``conftest.py``), and ``outputs_digest.py``
-against this checkout."""
+them broken unnoticed. ``primitives.py`` runs once in a subprocess, with
+the compiled round only if the extension is built, and once in process
+against the compiled round of the ``native`` fixture (``conftest.py``),
+which adds its row; ``outputs_digest.py`` runs against this checkout."""
 
 import importlib.util
 import json
@@ -16,6 +17,14 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
+def _load(name):
+    """The script ``benchmarks/<name>.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_primitives_script_runs_every_case():
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "primitives.py"), "--repeats", "1"],
@@ -23,6 +32,9 @@ def test_primitives_script_runs_every_case():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
+    # a built extension adds the last row, the compiled replay
+    if importlib.util.find_spec("quasiwide._kernels._native") is not None:
+        assert "tree_round t=3, compiled" in rows.pop()
     assert len(rows) == 26
     assert "reduce_dominators |Y|=" in rows[-10]
     assert "build_kernel |V(H)|=" in rows[-9]
@@ -63,9 +75,7 @@ def test_ab_passes_script_runs_a_pair():
 
 
 def test_ab_passes_resolves_a_gain_by_wins_and_spread():
-    spec = importlib.util.spec_from_file_location("ab_passes", SCRIPTS / "ab_passes.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("ab_passes")
     parent = [1.0, 1.1, 1.2, 1.3, 1.0, 1.1, 1.2, 1.3, 1.0, 1.1]  # quartiles 1.025, 1.2
     faster = [t - 0.3 for t in parent]
     assert script.resolved(parent, faster)
@@ -77,27 +87,28 @@ def test_ab_passes_resolves_a_gain_by_wins_and_spread():
     assert not script.resolved(parent, [t - 0.1 for t in parent])
 
 
-def test_backend_compare_script_runs_every_case(native, capsys, monkeypatch):
+def test_primitives_script_times_the_compiled_round(native, capsys, monkeypatch):
     # the native fixture puts the compiled round where the script imports it
-    path = SCRIPTS / "backend_compare.py"
-    spec = importlib.util.spec_from_file_location("backend_compare", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    # every timed pure round builds its tree, none resumes a stored one
-    fresh = []
-    real = script.pure.tree_round
+    script = _load("primitives")
+    # every compiled replay gets a graph of its own
+    graphs = []
+    real = native.tree_round
 
     def record(g, *args):
-        fresh.append(g._rounds is None)
+        graphs.append(g)
         return real(g, *args)
 
-    monkeypatch.setattr(script.pure, "tree_round", record)
+    monkeypatch.setattr(native, "tree_round", record)
     assert script.main(["--repeats", "1"]) == 0
-    assert fresh == [True] * 4
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [row.split()[:2] for row in rows] == [
-        ["tree_round", name] for name in ("phi_1^3", "psi_1^3", "phi_1^4", "psi_1^4")
-    ]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 27
+    shared, fresh, compiled = rows[-3:]
+    assert "tree_round t=3, shared" in shared and "tree_round t=3, fresh" in fresh
+    assert compiled.startswith("degenerate n=65 sieve") and "tree_round t=3, compiled" in compiled
+    # it replays the rounds that the pure rows replay
+    calls = int(compiled.split()[-2])
+    assert calls == int(shared.split()[-2]) == int(fresh.split()[-2]) != 0
+    assert len(graphs) == calls and len({id(g) for g in graphs}) == calls
 
 
 def test_outputs_digest_script_runs_every_command(tmp_path):
@@ -108,9 +119,7 @@ def test_outputs_digest_script_runs_every_command(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    spec = importlib.util.spec_from_file_location("outputs_digest", SCRIPTS / "outputs_digest.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("outputs_digest")
     expected = sum(len(commands) for _, commands in script.TABLES)
     for workload in script.WORKLOADS:
         subprocess.run(

@@ -104,9 +104,9 @@ def test_uqw_target_size_only_cuts_b(tmp_path, capsys):
         save_graph(g, path)
         for r in (1, 3):
             argv = ["uqw", "--graph", str(path), "--A", "all", "--r", str(r),
-                    "--s-max", "2", "--deterministic", "--m"]
+                    "--s-max", "2", "--delta-k", "4", "--deterministic", "--m"]
             try:
-                full = uqw_split(g, range(g.n), r, UqwConfig(s_max=2))
+                full = uqw_split(g, range(g.n), r, UqwConfig(s_max=2, delta_k=4))
             except DensityError:
                 full = None
             refusals = []
@@ -441,7 +441,7 @@ def test_identity_kernel_reports_its_own_z_and_y(tmp_path, capsys):
     run("gen", "--family", "random_degenerate", "--params", "n=65,c=2,seed=11",
         "--out", str(graph), check=True)
     argv = ["kernelize", "--graph", str(graph), "--r", "1", "--k", "2", "--ell", "64",
-            "--out", str(out), "--deterministic"]
+            "--delta-k", "4", "--out", str(out), "--deterministic"]
     assert cli.main(argv) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["kernel"] == "identity" and result["vh"] == 66

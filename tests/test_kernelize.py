@@ -212,7 +212,7 @@ def _spy_splits(monkeypatch):
 
 def test_anchor_vectors_equal_per_member_vectors(monkeypatch):
     splits = _spy_splits(monkeypatch)
-    cfg = CoreConfig(r=1, k=2, ell=64)
+    cfg = CoreConfig(r=1, k=2, ell=64, uqw=UqwConfig(delta_k=4))
     anchored = 0
     for seed in range(3):
         g = generate(GenSpec("random_degenerate", {"n": 66, "c": 2, "seed": seed}))
@@ -276,16 +276,16 @@ def _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, batch):
 
     def counting(h, key, seq, new_tree):
         nonlocal resumed
-        stored = (h._rounds or {}).get(key)
+        stored = pure._descents.get(h, {}).get(key)
         kept = stored is not None and len(stored.placed) > 0
         branch = real_resume(h, key, seq, new_tree)
-        resumed += kept and h._rounds[key] is stored
+        resumed += kept and pure._descents[h][key] is stored
         return branch
 
     monkeypatch.setattr(pure, "_resume", counting)
     monkeypatch.setattr(_kernels, "tree_round", pure.tree_round)
     shared = domination_core(g, cfg, batch=batch)
-    assert g._rounds
+    assert pure._descents.get(g)
 
     def on_a_fresh_copy(h, *args):
         return pure.tree_round(Graph(h.n, h.adj, _bits=adjacency_bitsets(h)), *args)
@@ -310,7 +310,7 @@ def test_sieve_resumes_rounds_when_the_window_widens(monkeypatch):
     # the degenerate-r1 workload's settings: the 64-vertex window widens to
     # all 65, which extends the last sequence of each tail-free round
     g = generate(GenSpec("random_degenerate", {"n": 65, "c": 2, "seed": 0}))
-    cfg = CoreConfig(r=1, k=2, ell=64)
+    cfg = CoreConfig(r=1, k=2, ell=64, uqw=UqwConfig(delta_k=4))
     assert _sieve_on_shared_and_fresh_graphs(monkeypatch, g, cfg, True) >= 1
 
 
@@ -834,7 +834,7 @@ def test_identity_kernel_of_a_degenerate_graph_is_never_built(monkeypatch):
     monkeypatch.setattr(
         kernelize_module, "build_kernel", lambda *args: calls.append(args)
     )
-    core, reps, ki = kernel_pipeline(g, CoreConfig(r=1, k=2, ell=64))
+    core, reps, ki = kernel_pipeline(g, CoreConfig(r=1, k=2, ell=64, uqw=UqwConfig(delta_k=4)))
     assert calls == []
     assert len(core.Z) == 64
     assert ki.kind == "identity" and ki.graph.n == 66 and ki.projection_ok

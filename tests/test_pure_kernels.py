@@ -7,7 +7,8 @@ per-tuple insertion loop it replaced, with the witness scan
 an implementation that shares no bitset code with the backend.
 Tail-free descents (three or more free slots) that resume the tree of the
 previous call on the same graph are checked against both the reference and
-a fresh graph, and no other round stores a tree. The lazy one-bit rounds
+a fresh graph, no other round stores a tree, and a graph's stored trees
+go with the graph. The lazy one-bit rounds
 (two free slots, tail-free) are checked on random and hub graphs, and on
 crafted sequences where a filed group ties, falls one short of or beats the
 first run. The fold of one node's combinations,
@@ -16,7 +17,9 @@ per-combination loop, from one to four slots.
 ``pure.nr_masks`` is checked against ``graph.bfs_limited``.
 """
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from kernel_graphs import seeded_graphs
 from quasiwide._kernels import pure
 from quasiwide.generators import GenSpec, generate
-from quasiwide.graph import Graph, bfs_limited, build_graph
+from quasiwide.graph import Graph, adjacency_bitsets, bfs_limited, build_graph
 from quasiwide.logic import EDGE_FORMULA, FormulaId, FormulaKind, _eval_reference
 
 GRAPHS = seeded_graphs()
@@ -350,12 +353,34 @@ def test_only_tail_free_descents_are_stored():
     for kind, i_split, arity in formulas(4):
         for tail_len in range(1, arity):
             pure.tree_round(g, seq[tail_len:], kind, i_split, arity, seq[:tail_len])
-            assert g._rounds is None, (kind, i_split, arity, tail_len)
+            assert g not in pure._descents, (kind, i_split, arity, tail_len)
         if arity == 2:
             pure.tree_round(g, seq, kind, i_split, arity, ())
-            assert g._rounds is None, (kind, i_split, arity)
+            assert g not in pure._descents, (kind, i_split, arity)
     pure.tree_round(g, seq, 1, 2, 3, ())
-    assert list(g._rounds) == [(1, 2, 3)]
+    assert list(pure._descents[g]) == [(1, 2, 3)]
+
+
+def test_stored_descents_live_as_long_as_their_graph():
+    gc.collect()
+    before = len(pure._descents)
+    g = Graph(GRAPHS[5].n, GRAPHS[5].adj)
+    seq = list(range(12))
+    # phi_2^3, tail-free: a descent with three free slots, which is stored
+    pure.tree_round(g, seq, 1, 2, 3, ())
+    assert list(pure._descents[g]) == [(1, 2, 3)]
+    # a copy that shares the bitsets, as primitives.py's fresh replays
+    # build, starts with no stored tree
+    copy = Graph(g.n, g.adj, _bits=adjacency_bitsets(g))
+    assert copy not in pure._descents
+    assert pure.tree_round(copy, seq, 1, 2, 3, ()) == pure.tree_round(g, seq, 1, 2, 3, ())
+    assert len(pure._descents) == before + 2
+    ref = weakref.ref(g)
+    del g, copy
+    gc.collect()
+    # the store kept neither graph alive, and holds nothing for them
+    assert ref() is None
+    assert len(pure._descents) == before
 
 
 # How the next sequence of a resumed run derives from the current one and
@@ -406,7 +431,7 @@ def test_tail_free_rounds_resume_on_a_shared_graph(index, shuffle, first, steps)
             got = pure.tree_round(g, cur, *shape, ())
             assert got == pure.tree_round(Graph(g.n, g.adj), cur, *shape, ()), (op, shape)
             assert got == reference_tree_round(g, cur, *shape, ()), (op, shape)
-    assert g._rounds
+    assert pure._descents.get(g)
 
 
 def test_tail_free_round_resumes_only_an_extension(monkeypatch):
@@ -434,10 +459,10 @@ def test_tail_free_round_resumes_only_an_extension(monkeypatch):
         for op, (seq, extends) in nexts.items():
             g = Graph(base.n, base.adj)
             pure.tree_round(g, first, *shape, ())
-            stored = g._rounds[shape]
+            stored = pure._descents[g][shape]
             del inserted[:]
             got = pure.tree_round(g, seq, *shape, ())
-            tree = g._rounds[shape]
+            tree = pure._descents[g][shape]
             if extends:
                 assert tree is stored and inserted == [(tree, seq[len(first) :])], (op, shape)
             else:
